@@ -1,10 +1,9 @@
 """Packed storage for the content-addressed analysis cache.
 
-The first cache layout kept one ``key[:2]/<key>.json`` file per app.
-That is simple and atomic, but a warm 1M-app re-run pays a filesystem
+One file per app would make a warm 1M-app re-run pay a filesystem
 ``open`` per app — two orders of magnitude more syscalls than actual
 work — and directory fanout churns the dentry cache.  This module
-replaces the storage layer with an append-only *pack* format:
+stores entries in an append-only *pack* format instead:
 
 ``seg-<digest>.pack``
     A segment: fixed 16-byte header (magic, format version, record
@@ -29,11 +28,7 @@ to a temp name and ``os.replace``d into place, and segment names are
 derived from the content digest — concurrent shards never collide and
 re-flushing identical content is idempotent.
 
-Entries written by the legacy per-app layout remain readable:
-:meth:`PackStore.get` falls back to ``key[:2]/<key>.json`` and
-:meth:`PackStore.iter_payloads` walks both, so a cache populated by an
-older checkout warm-runs with zero re-analysis before any segment
-exists.  Semantic validation (schema and detector-version checks,
+Semantic validation (schema and detector-version checks,
 record materialization) stays with the caller — this module moves
 *payload dicts* in and out of files.
 """
@@ -183,7 +178,7 @@ def _rebuild_from_segment(path: str) -> Optional[_Segment]:
     """Walk a segment's records directly (missing or corrupt ``.idx``).
 
     Stops cleanly at the first torn record, indexing the intact
-    prefix — mirroring how the legacy layout survived torn JSON files.
+    prefix.
     """
     try:
         with open(path, "rb") as handle:
@@ -225,8 +220,7 @@ class PackStore:
     """Pack-aware payload storage under one cache root.
 
     ``get``/``put`` move payload dicts; ``flush`` rotates the write
-    buffer into an immutable segment + index pair.  Legacy per-app
-    ``key[:2]/<key>.json`` entries are a read-only fallback.
+    buffer into an immutable segment + index pair.
     """
 
     def __init__(self, root: str,
@@ -245,7 +239,7 @@ class PackStore:
     # -- reads ----------------------------------------------------------------
 
     def get(self, key: str) -> Optional[dict]:
-        """The stored payload for ``key`` (buffered, packed, or legacy)."""
+        """The stored payload for ``key`` (buffered or packed)."""
         buffered = self._buffer.get(key)
         if buffered is not None:
             return buffered
@@ -260,39 +254,12 @@ class PackStore:
                     payload = segment.read_payload(*entry)
                     if payload is not None:
                         return payload
-        return self._legacy_get(key)
-
-    def _legacy_path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key + ".json")
-
-    def _legacy_get(self, key: str) -> Optional[dict]:
-        try:
-            with open(self._legacy_path(key), "r",
-                      encoding="utf-8") as handle:
-                decoded = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return decoded if isinstance(decoded, dict) else None
+        return None
 
     def iter_payloads(self) -> Iterator[dict]:
-        """Every stored payload: segments (name order), legacy, buffer."""
+        """Every stored payload: segments (name order), then the buffer."""
         for segment in self._segments:
             yield from segment.iter_payloads()
-        try:
-            shards = sorted(os.listdir(self.root))
-        except OSError:
-            shards = []
-        for shard_dir in shards:
-            full = os.path.join(self.root, shard_dir)
-            if len(shard_dir) != 2 or not os.path.isdir(full):
-                continue
-            for name in sorted(os.listdir(full)):
-                if not name.endswith(".json"):
-                    continue
-                key = name[:-len(".json")]
-                payload = self._legacy_get(key)
-                if payload is not None:
-                    yield payload
         yield from self._buffer.values()
 
     @property

@@ -161,8 +161,7 @@ def _class_header(package: str, suffix: str) -> str:
     return f".class L{path}/{suffix};"
 
 
-#: The installation API call every installer carries.  A constant
-#: tuple: the old helper rebuilt this list per generated app.
+#: The installation API call every installer carries.
 _INSTALL_TRIGGER_BLOCK = (
     f'const-string v3, "{INSTALL_MARKER}"',
     "invoke-virtual {v0, v4, v3}, Landroid/content/Intent;->"
@@ -170,11 +169,6 @@ _INSTALL_TRIGGER_BLOCK = (
     "invoke-virtual {v0, v4}, Landroid/content/Context;->"
     "startActivity(Landroid/content/Intent;)V",
 )
-
-
-def _install_trigger_block() -> List[str]:
-    """The installation API call every installer carries."""
-    return list(_INSTALL_TRIGGER_BLOCK)
 
 
 def _vulnerable_body(package: str) -> List[str]:
@@ -389,16 +383,6 @@ class IndexPermutation:
             value = (left << r_bits) | right
             if value < size:
                 return value
-
-    def _feistel(self, value: int) -> int:
-        """One pass of the network (kept for direct testing)."""
-        left = value >> self._r_bits
-        right = value & self._r_mask
-        left ^= _mix64(right + self._keys[0]) & self._l_mask
-        right ^= _mix64(left + self._keys[1]) & self._r_mask
-        left ^= _mix64(right + self._keys[2]) & self._l_mask
-        right ^= _mix64(left + self._keys[3]) & self._r_mask
-        return (left << self._r_bits) | right
 
 
 #: Redirect scheme pool, constant (the old code built a list per URL).

@@ -225,9 +225,7 @@ class AnalysisCache:
     format: writes buffer in memory and :meth:`flush` (called once per
     shard) emits one append-only, sha256-verified segment plus its
     fanout index, so a warm run does O(segments) opens instead of one
-    per app.  Entries written by the legacy ``key[:2]/<key>.json``
-    layout stay readable — a legacy-populated cache warm-runs with
-    zero re-analysis before any segment exists.
+    per app.
     """
 
     def __init__(self, root: str,
@@ -297,8 +295,8 @@ class AnalysisCache:
     def iter_entries(self) -> Iterable[Tuple[str, Dict[str, int], dict]]:
         """``(key, versions, record-dict)`` for every stored entry.
 
-        Walks pack segments, legacy per-app files, and the unflushed
-        write buffer — the test/inspection view of the cache.
+        Walks pack segments and the unflushed write buffer — the
+        test/inspection view of the cache.
         """
         for payload in self._store.iter_payloads():
             key = payload.get("key")

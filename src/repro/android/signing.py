@@ -37,11 +37,6 @@ _SIGN_CACHE_CAP = 4096
 _SIGN_CACHE: dict = {}
 
 
-def clear_signature_cache() -> None:
-    """Drop the process-wide signature cache (test isolation hook)."""
-    _SIGN_CACHE.clear()
-
-
 @dataclass(frozen=True)
 class Certificate:
     """The public identity of a signing key."""

@@ -9,16 +9,15 @@ retried a bounded number of times, then degraded to the in-process
 serial backend, which is also the fleet-wide fallback when
 ``multiprocessing`` itself is unavailable (restricted sandboxes).
 
-Two pool flavours share that scheduler shape:
-
-- the **cold pool** (default) forks one process per shard attempt and
-  lets it exit — simple, and the right call for one-shot CLI runs;
-- the **warm pool** (``FleetExecutor(warm=True)``, used by the
-  ``repro serve`` daemon) keeps a fixed set of resident workers alive
-  across campaigns, so fork/import/artifact-cache warm-up is paid once
-  per worker instead of once per shard.  Crashed or timed-out warm
-  workers are restarted in place and the shard is retried exactly like
-  the cold pool's semantics.
+There is one pool, scoped to the executor: a :class:`WarmPool` of
+resident workers, created on the first pooled run and released by
+:meth:`FleetExecutor.close`.  One-shot helpers (:func:`run_fleet`,
+``run_analysis``) close their executor after one ``run``, so their pool
+lives exactly as long as that run; the ``repro serve`` daemon keeps one
+executor open, so fork/import/artifact-cache warm-up is paid once per
+worker instead of once per shard.  The pool forks no more workers than
+a run has shards and grows on demand up to ``workers``; crashed or
+timed-out workers are restarted in place.
 
 Results merge in shard-index order regardless of completion order, so
 the merged stats honour the determinism contract of
@@ -52,7 +51,8 @@ _FAULT_KINDS = {_ERROR: "errors", _CRASH: "crashes", _TIMEOUT: "timeouts"}
 #: Ceiling on one blocking wait in the pool loop.  The loop does not
 #: poll at this cadence — results and worker deaths interrupt the wait
 #: immediately (see :func:`wait_for_result`); the ceiling only bounds
-#: how stale the timeout bookkeeping in ``_reap`` can get.
+#: how stale the timeout bookkeeping in :meth:`WarmPool.reap_timeouts`
+#: can get.
 _IDLE_WAIT_SECONDS = 0.5
 
 BACKENDS = ("auto", "process", "serial")
@@ -154,31 +154,6 @@ def _chaos_indices(spec: CampaignSpec, mode: str) -> Set[int]:
     return set(indices)
 
 
-def _shard_entry(result_queue, shard: ShardSpec, telemetry: bool = False,
-                 profile: bool = False) -> None:
-    """Worker-process entry point.
-
-    Failure injection (``spec.chaos``) lives here on purpose: only
-    pool workers honour it, so the serial fallback always recovers.
-    """
-    try:
-        if shard.index in _chaos_indices(shard.campaign, "crash"):
-            os._exit(13)
-        if shard.index in _chaos_indices(shard.campaign, "hang"):
-            time.sleep(3600)
-        if shard.index in _chaos_indices(shard.campaign, "error"):
-            raise RuntimeError(f"injected error in shard {shard.index}")
-        result = run_shard(shard, telemetry=telemetry, profile=profile)
-        result.backend = "process"
-        result_queue.put((shard.index, _OK, result))
-    except BaseException as exc:  # pragma: no cover - depends on failure mode
-        try:
-            result_queue.put(
-                (shard.index, _ERROR, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            os._exit(14)
-
-
 def wait_for_result(result_queue, processes=(),
                     timeout: float = _IDLE_WAIT_SECONDS) -> bool:
     """Block until the result queue has data, a worker exits, or timeout.
@@ -213,8 +188,7 @@ def drain_queue(result_queue, handle: Callable[[object], None],
                 timeout: float = _IDLE_WAIT_SECONDS) -> int:
     """Feed every queued message to ``handle``; return how many.
 
-    The scheduler's drain step, shared by the cold pool, the warm pool
-    and the serve daemon's scheduler: block up to ``timeout`` for the
+    The scheduler's drain step: block up to ``timeout`` for the
     first message, then sweep whatever else is already queued without
     blocking again.  Pairs with :func:`wait_for_result` — wait on the
     pipe and the worker sentinels, then drain — so a burst of shard
@@ -251,15 +225,16 @@ def multiprocessing_usable() -> bool:
         return False
 
 
-def _warm_worker_entry(slot: int, task_queue, result_queue) -> None:
+def _warm_worker_entry(task_queue, result_queue) -> None:
     """Resident worker loop: run shards until a ``None`` sentinel.
 
-    Mirrors :func:`_shard_entry` (including chaos injection — only
-    pool workers honour it, so the serial fallback always recovers)
-    but stays alive between tasks: module imports and the
+    Failure injection (``spec.chaos``) lives here on purpose: only
+    pool workers honour it, so the serial fallback always recovers.
+    The worker stays alive between tasks: module imports and the
     content-addressed artifact caches built by earlier shards carry
-    over to later ones, which is the whole point of the warm pool.
-    Messages are ``(slot, ticket, status, payload)``.
+    over to later ones.  Tasks are ``(seq, shard, (telemetry,
+    profile))``; messages are ``(seq, status, payload)``, where ``seq``
+    names the submit that the result answers.
 
     A worker orphaned by a hard-killed parent (SIGKILL skips
     :meth:`WarmPool.close`) notices the reparenting on its next idle
@@ -275,8 +250,7 @@ def _warm_worker_entry(slot: int, task_queue, result_queue) -> None:
             continue
         if task is None:
             break
-        ticket, shard = task[0], task[1]
-        telemetry, profile = task[2] if len(task) > 2 else (False, False)
+        seq, shard, (telemetry, profile) = task
         try:
             if shard.index in _chaos_indices(shard.campaign, "crash"):
                 os._exit(13)
@@ -285,12 +259,12 @@ def _warm_worker_entry(slot: int, task_queue, result_queue) -> None:
             if shard.index in _chaos_indices(shard.campaign, "error"):
                 raise RuntimeError(f"injected error in shard {shard.index}")
             result = run_shard(shard, telemetry=telemetry, profile=profile)
-            result.backend = "warm"
-            result_queue.put((slot, ticket, _OK, result))
+            result.backend = "process"
+            result_queue.put((seq, _OK, result))
         except BaseException as exc:  # pragma: no cover - failure-mode paths
             try:
                 result_queue.put(
-                    (slot, ticket, _ERROR, f"{type(exc).__name__}: {exc}"))
+                    (seq, _ERROR, f"{type(exc).__name__}: {exc}"))
             except Exception:
                 os._exit(14)
 
@@ -298,27 +272,31 @@ def _warm_worker_entry(slot: int, task_queue, result_queue) -> None:
 class _WarmWorker:
     """Parent-side handle on one resident worker process."""
 
-    __slots__ = ("slot", "process", "task_queue", "tasks_done")
+    __slots__ = ("process", "task_queue")
 
-    def __init__(self, slot: int, process, task_queue) -> None:
-        self.slot = slot
+    def __init__(self, process, task_queue) -> None:
         self.process = process
         self.task_queue = task_queue
-        self.tasks_done = 0
 
 
 class WarmPool:
-    """A fixed set of resident shard workers, reused across campaigns.
+    """Resident shard workers, reused across campaigns.
 
-    Workers are forked once and then fed ``(ticket, shard)`` tasks over
-    per-worker queues; results come back on one shared queue.  A dead
-    worker (crash chaos, OOM, kill) is detected via its process
+    Workers are forked once and then fed tasks over per-worker queues;
+    results come back on one shared queue.  Every submit gets a fresh
+    sequence number, and a result counts only if it carries the number
+    of the submit that currently holds its ticket: a result that a
+    reaped or dead worker left in the queue is dropped, so it can
+    neither be credited to the ticket's retry nor idle a slot twice.
+    A dead worker (crash chaos, OOM, kill) is detected via its process
     sentinel, restarted in place, and its in-flight ticket is reported
     as a crash so the scheduler can retry the shard — ``restarts``
     counts every such replacement (the serve daemon exports it as the
-    ``serve/worker_restarts`` metric).  ``close`` shuts the pool down
-    deterministically: sentinel every worker, join, terminate
-    stragglers — no leaked processes, pinned by the leak-check test.
+    ``serve/worker_restarts`` metric).  :meth:`grow` adds workers; the
+    pool never shrinks.  ``close`` shuts the pool down
+    deterministically: sentinel every idle worker, terminate busy ones,
+    join, terminate stragglers — no leaked processes, pinned by the
+    leak-check test.
     """
 
     def __init__(self, workers: int, context=None) -> None:
@@ -329,18 +307,30 @@ class WarmPool:
 
             context = multiprocessing.get_context()
         self._context = context
-        self.workers = workers
         self.result_queue = context.Queue()
         self.restarts = 0
         self.tasks_done = 0
         self._closed = False
+        self._submits = 0
         self._workers: Dict[int, _WarmWorker] = {}
         self._idle: List[int] = []
-        self._running: Dict[int, Tuple[int, float, ShardSpec]] = {}
-        for slot in range(workers):
-            self._spawn(slot)
+        #: ticket -> (slot, submit sequence number, monotonic start)
+        self._running: Dict[int, Tuple[int, int, float]] = {}
+        self.grow(workers)
 
     # -- lifecycle -------------------------------------------------------------
+
+    @property
+    def workers(self) -> int:
+        """How many worker slots the pool has."""
+        return len(self._workers)
+
+    def grow(self, workers: int) -> None:
+        """Spawn workers until the pool has at least ``workers``."""
+        if self._closed:
+            raise ReproError("warm pool is closed")
+        for slot in range(len(self._workers), workers):
+            self._spawn(slot)
 
     def _spawn(self, slot: int) -> None:
         """(Re)create the worker in ``slot`` with a fresh task queue.
@@ -351,12 +341,12 @@ class WarmPool:
         task_queue = self._context.Queue()
         process = self._context.Process(
             target=_warm_worker_entry,
-            args=(slot, task_queue, self.result_queue),
+            args=(task_queue, self.result_queue),
             name=f"fleet-warm-{slot}",
             daemon=True,
         )
         process.start()
-        self._workers[slot] = _WarmWorker(slot, process, task_queue)
+        self._workers[slot] = _WarmWorker(process, task_queue)
         self._idle.append(slot)
 
     def _respawn(self, slot: int) -> None:
@@ -366,11 +356,20 @@ class WarmPool:
         self._spawn(slot)
 
     def close(self, timeout: float = 5.0) -> None:
-        """Shut every worker down; idempotent, never leaks a process."""
+        """Shut every worker down; idempotent, never leaks a process.
+
+        Idle workers get a ``None`` sentinel; a worker still running a
+        task is terminated at once, since nothing will collect its
+        result.
+        """
         if self._closed:
             return
         self._closed = True
-        for worker in self._workers.values():
+        busy = {slot for slot, _, _ in self._running.values()}
+        for slot, worker in self._workers.items():
+            if slot in busy:
+                worker.process.terminate()
+                continue
             try:
                 worker.task_queue.put(None)
             except Exception:  # queue already broken: terminate below
@@ -417,7 +416,7 @@ class WarmPool:
         """Monotonic start of the oldest in-flight task, if any."""
         if not self._running:
             return None
-        return min(started for _, started, _ in self._running.values())
+        return min(started for _, _, started in self._running.values())
 
     # -- scheduling ------------------------------------------------------------
 
@@ -434,9 +433,10 @@ class WarmPool:
         if not self._idle:
             raise ReproError("no idle warm worker; poll() first")
         slot = self._idle.pop()
+        self._submits += 1
         self._workers[slot].task_queue.put(
-            (ticket, shard, (telemetry, profile)))
-        self._running[ticket] = (slot, time.monotonic(), shard)
+            (self._submits, shard, (telemetry, profile)))
+        self._running[ticket] = (slot, self._submits, time.monotonic())
 
     def poll(self, timeout: float = _IDLE_WAIT_SECONDS
              ) -> List[Tuple[int, str, object]]:
@@ -452,16 +452,16 @@ class WarmPool:
         (payload: reason string).
         """
         events: List[Tuple[int, str, object]] = []
+        by_seq = {seq: ticket
+                  for ticket, (_, seq, _) in self._running.items()}
 
         def handle(message) -> None:
-            slot, ticket, status, payload = message
-            entry = self._running.pop(ticket, None)
-            if entry is None:
-                return  # stale: ticket already reaped as timeout/crash
+            seq, status, payload = message
+            ticket = by_seq.pop(seq, None)
+            if ticket is None:
+                return  # stale: its submit was reaped as timeout/crash
+            slot = self._running.pop(ticket)[0]
             self._idle.append(slot)
-            worker = self._workers.get(slot)
-            if worker is not None:
-                worker.tasks_done += 1
             self.tasks_done += 1
             events.append((ticket, status, payload))
 
@@ -472,7 +472,7 @@ class WarmPool:
             if worker.process.is_alive():
                 continue
             # Its result may still be in flight: one final drain chance
-            # before declaring the ticket crashed (mirrors _reap).
+            # before declaring the ticket crashed.
             drain_queue(self.result_queue, handle, timeout=0.1)
             dead = [ticket for ticket, (s, _, _) in self._running.items()
                     if s == slot]
@@ -482,8 +482,7 @@ class WarmPool:
             for ticket in dead:
                 self._running.pop(ticket)
                 events.append(
-                    (ticket, _CRASH,
-                     f"warm worker died (exit code {exitcode})"))
+                    (ticket, _CRASH, f"worker crashed (exit code {exitcode})"))
         return events
 
     def reap_timeouts(self, shard_timeout: Optional[float]
@@ -497,7 +496,7 @@ class WarmPool:
             return []
         events: List[Tuple[int, str, object]] = []
         now = time.monotonic()
-        for ticket, (slot, started, _) in list(self._running.items()):
+        for ticket, (slot, _, started) in list(self._running.items()):
             if now - started <= shard_timeout:
                 continue
             worker = self._workers[slot]
@@ -516,7 +515,7 @@ class FleetExecutor:
     def __init__(self, workers: Optional[int] = None, backend: str = "auto",
                  shard_timeout: Optional[float] = None, max_retries: int = 2,
                  progress: Optional[FleetProgress] = None,
-                 warm: bool = False, telemetry: bool = False,
+                 telemetry: bool = False,
                  profile_shards: bool = False) -> None:
         if backend not in BACKENDS:
             raise ReproError(
@@ -530,26 +529,23 @@ class FleetExecutor:
         self.shard_timeout = shard_timeout
         self.max_retries = max_retries
         self.progress = progress if progress is not None else NullProgress()
-        #: Keep a resident :class:`WarmPool` alive across ``run`` calls
-        #: (the serve daemon's mode).  The pool is created lazily on the
-        #: first pooled run and must be released with :meth:`close`.
-        self.warm = warm
         #: Wall-clock plane switches (see :mod:`repro.obs.runtime`):
         #: both default off, and the off path adds zero clock/rusage
         #: calls to shard execution.
         self.telemetry = telemetry
         self.profile_shards = profile_shards
+        #: The executor's :class:`WarmPool`: created on the first pooled
+        #: run, kept across ``run`` calls, released by :meth:`close`.
         self._pool: Optional[WarmPool] = None
 
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the warm pool (if any); idempotent, leak-free.
+        """Release the worker pool (if any); idempotent, leak-free.
 
-        Cold pools clean up per run, so this only matters for
-        ``warm=True`` executors — but call it (or use the executor as a
-        context manager) unconditionally: it makes shutdown
-        deterministic for tests and the daemon alike.
+        Call it (or use the executor as a context manager) once the
+        executor has done its last run: the pool's workers stay
+        resident until then.
         """
         if self._pool is not None:
             self._pool.close()
@@ -561,9 +557,12 @@ class FleetExecutor:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _ensure_pool(self) -> WarmPool:
+    def _ensure_pool(self, workers: int) -> WarmPool:
+        """The pool, created or grown to at least ``workers`` workers."""
         if self._pool is None or self._pool.closed:
-            self._pool = WarmPool(self.workers)
+            self._pool = WarmPool(workers)
+        else:
+            self._pool.grow(workers)
         return self._pool
 
     # -- public API -----------------------------------------------------------
@@ -578,6 +577,10 @@ class FleetExecutor:
         every fresh completion is recorded before the fleet moves on —
         so a killed campaign resumes from its last completed shard and
         still merges to bit-identical stats.
+
+        On the process backend a shard that errors, crashes its worker
+        or overruns ``shard_timeout`` is retried up to ``max_retries``
+        times, then run in this process as a ``serial-fallback``.
         """
         started = time.perf_counter()
         shard_count = shards if shards is not None else self.workers
@@ -590,10 +593,6 @@ class FleetExecutor:
         backend = self._resolve_backend()
         workers = 1 if backend == "serial" else min(self.workers,
                                                     len(todo) or 1)
-        if self.warm and backend == "process":
-            # The resident pool keeps its full complement: idle workers
-            # stay warm for the next campaign instead of being resized.
-            workers = self.workers
         total = len(shard_specs)
         self.progress.on_fleet_start(spec, total, workers, backend)
         counters = {"retries": 0, "timeouts": 0, "crashes": 0,
@@ -604,11 +603,57 @@ class FleetExecutor:
             self.progress.on_shard_done(restored[index], len(results), total)
         on_result = None if checkpoint is None else checkpoint.record
         if backend == "serial":
-            self._run_serial(todo, results, total, on_result)
-        elif self.warm:
-            self._run_warm(todo, results, total, counters, on_result)
-        else:
-            self._run_pool(todo, results, total, counters, on_result)
+            for shard in todo:
+                self.progress.on_shard_start(shard, 1)
+                self._finish(run_shard(shard, telemetry=self.telemetry,
+                                       profile=self.profile_shards),
+                             results, total, on_result)
+        elif todo:
+            pool = self._ensure_pool(workers)
+            pending: Deque[ShardSpec] = deque(todo)
+            attempts = {shard.index: 0 for shard in todo}
+            by_index = {shard.index: shard for shard in todo}
+            fallback: List[ShardSpec] = []
+            try:
+                while pending or pool.busy():
+                    while pending and pool.has_idle():
+                        shard = pending.popleft()
+                        attempts[shard.index] += 1
+                        self.progress.on_shard_start(shard,
+                                                     attempts[shard.index])
+                        pool.submit(shard.index, shard,
+                                    telemetry=self.telemetry,
+                                    profile=self.profile_shards)
+                    events = pool.poll(self._warm_wait_timeout(pool))
+                    events += pool.reap_timeouts(self.shard_timeout)
+                    for index, status, payload in events:
+                        shard = by_index[index]
+                        if status == _OK:
+                            payload.attempts = attempts[index]
+                            self._finish(payload, results, total, on_result)
+                            continue
+                        counters[_FAULT_KINDS[status]] += 1
+                        self.progress.on_shard_retry(shard, attempts[index],
+                                                     str(payload))
+                        if attempts[index] <= self.max_retries:
+                            counters["retries"] += 1
+                            pending.append(shard)
+                        else:
+                            fallback.append(shard)
+            except BaseException:
+                # The in-flight tasks belong to this run alone: kill
+                # them rather than hand their results to a later run.
+                self.close()
+                raise
+            for shard in fallback:
+                counters["fallbacks"] += 1
+                attempts[shard.index] += 1
+                self.progress.on_shard_start(shard, attempts[shard.index])
+                result = run_shard(shard, telemetry=self.telemetry,
+                                   profile=self.profile_shards)
+                result.attempts = attempts[shard.index]
+                result.backend = "serial-fallback"
+                self._finish(result, results, total, on_result)
         report_class = getattr(type(spec), "report_class", None) or FleetReport
         report = report_class.from_shards(
             spec, list(results.values()),
@@ -630,8 +675,6 @@ class FleetExecutor:
             return "serial"
         return "process"
 
-    # -- shared completion plumbing -------------------------------------------
-
     def _finish(self, result: ShardResult, results: Dict[int, ShardResult],
                 total: int, on_result) -> None:
         """Record one completed shard: merge set, checkpoint, progress.
@@ -646,197 +689,18 @@ class FleetExecutor:
             on_result(result)
         self.progress.on_shard_done(result, len(results), total)
 
-    def _run_fallback(self, fallback: List[ShardSpec],
-                      attempts: Dict[int, int],
-                      results: Dict[int, ShardResult], total: int,
-                      counters: Dict[str, int], on_result) -> None:
-        """In-process serial rescue of shards the pool gave up on."""
-        for shard in fallback:
-            counters["fallbacks"] += 1
-            attempts[shard.index] += 1
-            self.progress.on_shard_start(shard, attempts[shard.index])
-            result = run_shard(shard, telemetry=self.telemetry,
-                               profile=self.profile_shards)
-            result.attempts = attempts[shard.index]
-            result.backend = "serial-fallback"
-            self._finish(result, results, total, on_result)
-
-    # -- serial backend -------------------------------------------------------
-
-    def _run_serial(self, shard_specs: List[ShardSpec],
-                    results: Dict[int, ShardResult], total: int,
-                    on_result=None) -> None:
-        for shard in shard_specs:
-            self.progress.on_shard_start(shard, 1)
-            result = run_shard(shard, telemetry=self.telemetry,
-                               profile=self.profile_shards)
-            self._finish(result, results, total, on_result)
-
-    # -- process backend (cold pool) ------------------------------------------
-
-    def _run_pool(self, shard_specs: List[ShardSpec],
-                  results: Dict[int, ShardResult], total: int,
-                  counters: Dict[str, int], on_result=None) -> None:
-        import multiprocessing
-
-        context = multiprocessing.get_context()
-        result_queue = context.Queue()
-        pending: Deque[ShardSpec] = deque(shard_specs)
-        running: Dict[int, Tuple[object, float, ShardSpec]] = {}
-        attempts: Dict[int, int] = {shard.index: 0 for shard in shard_specs}
-        fallback: List[ShardSpec] = []
-        workers = min(self.workers, len(shard_specs) or 1)
-
-        def handle(message: Tuple[int, str, object]) -> None:
-            index, status, payload = message
-            if index in results:
-                return  # stale message from a timed-out-then-finished worker
-            entry = running.pop(index, None)
-            if entry is not None:
-                entry[0].join()
-            if status == _OK:
-                payload.attempts = attempts[index]
-                self._finish(payload, results, total, on_result)
-            else:
-                self._retry(pending, fallback, attempts,
-                            self._shard_by_index(shard_specs, index),
-                            str(payload), counters, "errors")
-
-        def drain(timeout: float) -> int:
-            return drain_queue(result_queue, handle, timeout)
-
-        try:
-            while pending or running:
-                while pending and len(running) < workers:
-                    shard = pending.popleft()
-                    attempts[shard.index] += 1
-                    self.progress.on_shard_start(shard,
-                                                 attempts[shard.index])
-                    process = context.Process(
-                        target=_shard_entry,
-                        args=(result_queue, shard, self.telemetry,
-                              self.profile_shards),
-                        name=f"fleet-shard-{shard.index}",
-                        daemon=True,
-                    )
-                    process.start()
-                    running[shard.index] = (process, time.monotonic(), shard)
-                if wait_for_result(
-                        result_queue,
-                        [entry[0] for entry in running.values()],
-                        self._wait_timeout(running)):
-                    drain(_IDLE_WAIT_SECONDS)
-                self._reap(running, pending, fallback, attempts, drain,
-                           counters)
-        finally:
-            for process, _, _ in running.values():
-                process.terminate()
-                process.join()
-            result_queue.close()
-
-        self._run_fallback(fallback, attempts, results, total, counters,
-                           on_result)
-
-    # -- process backend (warm pool) ------------------------------------------
-
-    def _run_warm(self, shard_specs: List[ShardSpec],
-                  results: Dict[int, ShardResult], total: int,
-                  counters: Dict[str, int], on_result=None) -> None:
-        """Schedule shards onto the resident pool (created on first use).
-
-        Same retry/timeout/fallback semantics as the cold pool, but
-        worker processes survive the run — and the next one.
-        """
-        pool = self._ensure_pool()
-        pending: Deque[ShardSpec] = deque(shard_specs)
-        attempts: Dict[int, int] = {shard.index: 0 for shard in shard_specs}
-        by_index: Dict[int, ShardSpec] = {shard.index: shard
-                                          for shard in shard_specs}
-        fallback: List[ShardSpec] = []
-        while pending or pool.busy():
-            while pending and pool.has_idle():
-                shard = pending.popleft()
-                attempts[shard.index] += 1
-                self.progress.on_shard_start(shard, attempts[shard.index])
-                pool.submit(shard.index, shard, telemetry=self.telemetry,
-                            profile=self.profile_shards)
-            events = pool.poll(self._warm_wait_timeout(pool))
-            events += pool.reap_timeouts(self.shard_timeout)
-            for ticket, status, payload in events:
-                if status == _OK:
-                    payload.attempts = attempts[ticket]
-                    self._finish(payload, results, total, on_result)
-                else:
-                    self._retry(pending, fallback, attempts,
-                                by_index[ticket], str(payload), counters,
-                                _FAULT_KINDS[status])
-        self._run_fallback(fallback, attempts, results, total, counters,
-                           on_result)
-
     def _warm_wait_timeout(self, pool: WarmPool) -> float:
-        """Warm-pool analogue of :meth:`_wait_timeout`."""
-        soonest = pool.earliest_start()
-        if self.shard_timeout is None or soonest is None:
-            return _IDLE_WAIT_SECONDS
-        remaining = soonest + self.shard_timeout - time.monotonic()
-        return max(0.0, min(_IDLE_WAIT_SECONDS, remaining))
-
-    def _wait_timeout(self, running) -> float:
-        """How long one blocking wait may last before ``_reap`` runs.
+        """How long one blocking wait may last before timeouts are reaped.
 
         With a shard timeout configured, the wait ends no later than
         the earliest running shard's deadline so overruns are policed
         on time; either way it is capped at :data:`_IDLE_WAIT_SECONDS`.
         """
-        if self.shard_timeout is None or not running:
+        soonest = pool.earliest_start()
+        if self.shard_timeout is None or soonest is None:
             return _IDLE_WAIT_SECONDS
-        now = time.monotonic()
-        soonest = min(started_at for _, started_at, _ in running.values())
-        remaining = soonest + self.shard_timeout - now
+        remaining = soonest + self.shard_timeout - time.monotonic()
         return max(0.0, min(_IDLE_WAIT_SECONDS, remaining))
-
-    def _reap(self, running, pending, fallback, attempts, drain,
-              counters) -> None:
-        """Police timeouts and detect crashed workers."""
-        now = time.monotonic()
-        for index, (process, started_at, shard) in list(running.items()):
-            if (self.shard_timeout is not None
-                    and now - started_at > self.shard_timeout):
-                process.terminate()
-                process.join()
-                running.pop(index)
-                self._retry(pending, fallback, attempts, shard,
-                            f"timeout after {self.shard_timeout:.1f}s",
-                            counters, "timeouts")
-            elif not process.is_alive():
-                # Its result may still be in flight: give the queue one
-                # final chance before declaring a crash.
-                drain(0.1)
-                if index not in running:
-                    continue  # the drain handled it
-                process.join()
-                running.pop(index)
-                self._retry(pending, fallback, attempts, shard,
-                            f"worker crashed (exit code {process.exitcode})",
-                            counters, "crashes")
-
-    def _retry(self, pending, fallback, attempts, shard: ShardSpec,
-               reason: str, counters: Dict[str, int], kind: str) -> None:
-        counters[kind] += 1
-        self.progress.on_shard_retry(shard, attempts[shard.index], reason)
-        if attempts[shard.index] <= self.max_retries:
-            counters["retries"] += 1
-            pending.append(shard)
-        else:
-            fallback.append(shard)
-
-    @staticmethod
-    def _shard_by_index(shard_specs: List[ShardSpec],
-                        index: int) -> ShardSpec:
-        for shard in shard_specs:
-            if shard.index == index:
-                return shard
-        raise ReproError(f"unknown shard index {index}")  # pragma: no cover
 
 
 def run_fleet(spec: CampaignSpec, shards: Optional[int] = None,

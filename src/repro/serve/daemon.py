@@ -3,8 +3,9 @@
 Two layers, separable on purpose:
 
 - :class:`CampaignService` is the synchronous, thread-safe core — the
-  job queue, the **warm** :class:`~repro.engine.executor.FleetExecutor`
-  (resident worker pool reused across jobs), the on-disk
+  job queue, one long-lived
+  :class:`~repro.engine.executor.FleetExecutor` (its worker pool is
+  scoped to the executor, so it stays resident across jobs), the on-disk
   :class:`~repro.serve.checkpoint.JobStore`, and the ``serve/*``
   metrics.  It knows nothing about sockets, so tests drive it directly.
 - :class:`ServeDaemon` wraps the service in an asyncio JSONL server
@@ -93,7 +94,7 @@ class _JobProgress(FleetProgress):
 
 
 class CampaignService:
-    """The daemon's synchronous core: queue + warm executor + store."""
+    """The daemon's synchronous core: queue + resident executor + store."""
 
     def __init__(self, state_dir, workers: Optional[int] = None,
                  backend: str = "auto", seed: int = 0,
@@ -107,7 +108,7 @@ class CampaignService:
         #: for.  ``telemetry=False`` restores the zero-overhead path.
         self.telemetry = telemetry
         self.executor = FleetExecutor(workers=workers, backend=backend,
-                                      warm=True, telemetry=telemetry)
+                                      telemetry=telemetry)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Bounded ops-event ring, file-backed in the state dir so the
         #: recent event history survives a SIGKILL/restart cycle.

@@ -1,6 +1,5 @@
-"""Pack-format cache: segments, indexes, legacy migration, corruption."""
+"""Pack-format cache: segments, indexes, corruption."""
 
-import json
 import os
 
 import pytest
@@ -44,7 +43,7 @@ def test_pack_round_trip_and_segment_layout(tmp_path):
     packs = [name for name in names if name.endswith(".pack")]
     idxs = [name for name in names if name.endswith(".idx")]
     assert len(packs) == len(idxs) == 1
-    # No legacy per-app fanout directories are created anymore.
+    # Only segment and index files: no per-app fanout directories.
     assert not [name for name in names if os.path.isdir(tmp_path / name)]
     fresh = AnalysisCache(str(tmp_path))
     assert fresh.segment_count == 1
@@ -54,11 +53,18 @@ def test_pack_round_trip_and_segment_layout(tmp_path):
     assert fresh.load("ff" * 32) is None
 
 
-def test_iter_entries_covers_pack_legacy_and_buffer(tmp_path):
+def test_iter_entries_covers_packs_and_buffer(tmp_path):
     keys = populate(tmp_path, apps=10)
     cache = AnalysisCache(str(tmp_path))
     seen = {key for key, _versions, _record in cache.iter_entries()}
     assert seen == set(keys)
+    # An unflushed store is listed beside the packed entries.
+    app = corpus_plan("play", seed=8, spec=scaled_play_spec(1)).app_at(0)
+    buffered = cache.key_for(app)
+    assert buffered not in keys
+    cache.store(buffered, analyze_app(app, InstallerClassifier()))
+    seen = {key for key, _versions, _record in cache.iter_entries()}
+    assert seen == set(keys) | {buffered}
     # Every entry carries the versions map the loader validates.
     for _key, versions, record in cache.iter_entries():
         assert "redirect" in versions
@@ -87,47 +93,6 @@ def test_put_rotates_past_record_cap(tmp_path):
     for index in range(10):
         key = f"{index:02x}" * 32
         assert fresh.get(key) == {"key": key, "value": index}
-
-
-# -- legacy per-app layout --------------------------------------------------------
-
-
-def _demote_to_legacy(root):
-    """Rewrite a packed cache as the old ``key[:2]/<key>.json`` layout."""
-    store = PackStore(str(root))
-    payloads = list(store.iter_payloads())
-    assert payloads
-    for name in list(os.listdir(root)):
-        if name.endswith((".pack", ".idx")):
-            os.unlink(os.path.join(root, name))
-    for payload in payloads:
-        key = payload["key"]
-        shard_dir = root / key[:2]
-        shard_dir.mkdir(exist_ok=True)
-        (shard_dir / (key + ".json")).write_text(
-            json.dumps(payload, sort_keys=True))
-
-
-def test_legacy_cache_warm_runs_zero_apps(tmp_path):
-    spec = AnalysisSpec(corpus="play", apps=120, cache_dir=str(tmp_path))
-    cold = run_serial(spec, shards=3)
-    assert cold.cache_misses == 120
-    _demote_to_legacy(tmp_path)
-    warm = run_serial(spec, shards=5)
-    assert (warm.cache_hits, warm.cache_misses) == (120, 0)
-    assert warm.stats.identity_tuple() == cold.stats.identity_tuple()
-
-
-def test_mixed_legacy_and_pack_entries_both_hit(tmp_path):
-    keys = populate(tmp_path, apps=20)
-    _demote_to_legacy(tmp_path)
-    # New analyses land in a fresh segment beside the legacy files.
-    more = populate(tmp_path, apps=30)
-    cache = AnalysisCache(str(tmp_path))
-    for key in set(keys) | set(more):
-        assert cache.load(key) is not None
-    assert ({key for key, _v, _r in cache.iter_entries()}
-            == set(keys) | set(more))
 
 
 # -- corruption -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Warm pool: reuse, determinism, crash recovery, leak-free shutdown."""
+"""Worker pool: reuse, determinism, crash recovery, leak-free shutdown."""
 
 import os
 import time
@@ -12,6 +12,7 @@ from repro.engine.executor import (
     drain_queue,
     multiprocessing_usable,
 )
+from repro.engine.progress import FleetProgress
 from repro.engine.spec import CampaignSpec
 
 needs_multiprocessing = pytest.mark.skipif(
@@ -31,7 +32,7 @@ def _alive_children(pids):
     return alive
 
 
-# -- drain helper (shared by cold pool, warm pool, serve scheduler) -----------
+# -- drain helper (shared by the pool and the serve scheduler) ---------------
 
 @needs_multiprocessing
 def test_drain_queue_sweeps_a_burst_in_one_pass():
@@ -100,7 +101,7 @@ def test_warm_pool_results_match_serial_execution():
     for index in (1, 2, 3):
         merged = merged.merge(results[index].stats)
     assert merged.counter_tuple() == serial.stats.counter_tuple()
-    assert all(result.backend == "warm" for result in results.values())
+    assert all(result.backend == "process" for result in results.values())
 
 
 @needs_multiprocessing
@@ -135,7 +136,7 @@ def test_warm_pool_restarts_a_dead_worker_and_reports_the_crash():
         ticket, status, payload = events[0]
         assert ticket == 0
         assert status == "crash"
-        assert "died" in payload
+        assert "crashed" in payload
         assert pool.restarts == 1
         assert pool.worker_pids() != before
         assert pool.has_idle()  # replacement is ready for work
@@ -154,6 +155,35 @@ def test_warm_pool_reaps_a_hung_worker_on_timeout():
         assert pool.has_idle()
 
 
+@needs_multiprocessing
+def test_warm_pool_drops_a_result_left_by_a_reaped_worker():
+    # A worker reaped just after it reported leaves its result in the
+    # queue.  The retry of the same ticket must not be credited with
+    # it, and the slot the retry runs on must stay busy until the
+    # retry itself reports.
+    first, second = CampaignSpec(installs=8, seed=7).shard(2)
+    with WarmPool(2) as pool:
+        pool.submit(0, first)
+        assert executor_module.wait_for_result(pool.result_queue, (), 10.0)
+        time.sleep(0.2)  # let the worker's feeder thread release the queue
+        assert [s for _, s, _ in pool.reap_timeouts(0.0)] == ["timeout"]
+        pool.submit(1, second)                  # the respawned slot
+        pool.submit(0, first, telemetry=True)   # the retry, other slot
+        events = []
+        deadline = time.monotonic() + 10.0
+        while pool.busy() and time.monotonic() < deadline:
+            events += pool.poll(timeout=1.0)
+        assert sorted((t, s) for t, s, _ in events) == [(0, "ok"), (1, "ok")]
+        retry = [payload for ticket, _, payload in events if ticket == 0][0]
+        assert retry.telemetry is not None      # the retry's own result
+        assert sorted(pool._idle) == [0, 1]
+        assert pool.tasks_done == 2
+        # A message that answers no submit at all is dropped too.
+        pool.result_queue.put((10_000, "ok", None))
+        assert pool.poll(timeout=1.0) == []
+        assert sorted(pool._idle) == [0, 1]
+
+
 def test_warm_pool_validates_worker_count():
     from repro.errors import ReproError
 
@@ -167,14 +197,14 @@ def test_warm_pool_validates_worker_count():
 def test_warm_executor_matches_serial_and_reuses_workers():
     spec = CampaignSpec(installs=60, seed=7)
     serial = FleetExecutor(backend="serial").run(spec, shards=4)
-    with FleetExecutor(workers=2, backend="process", warm=True) as fleet:
+    with FleetExecutor(workers=2, backend="process") as fleet:
         first = fleet.run(spec, shards=4)
         pids = fleet._pool.worker_pids()
         second = fleet.run(spec, shards=4)
         assert fleet._pool.worker_pids() == pids
     assert first.stats.counter_tuple() == serial.stats.counter_tuple()
     assert second.stats.counter_tuple() == serial.stats.counter_tuple()
-    assert {shard.backend for shard in first.shards} == {"warm"}
+    assert {shard.backend for shard in first.shards} == {"process"}
 
 
 @needs_multiprocessing
@@ -182,7 +212,7 @@ def test_warm_executor_survives_chaos_via_retry_and_fallback():
     spec = CampaignSpec(installs=24, seed=7, chaos="crash:1")
     serial = FleetExecutor(backend="serial").run(
         CampaignSpec(installs=24, seed=7))
-    with FleetExecutor(workers=2, backend="process", warm=True,
+    with FleetExecutor(workers=2, backend="process",
                        max_retries=0) as fleet:
         report = fleet.run(spec, shards=3)
     assert report.stats.counter_tuple() == serial.stats.counter_tuple()
@@ -192,7 +222,7 @@ def test_warm_executor_survives_chaos_via_retry_and_fallback():
 
 @needs_multiprocessing
 def test_executor_close_is_idempotent_and_releases_the_pool():
-    fleet = FleetExecutor(workers=2, backend="process", warm=True)
+    fleet = FleetExecutor(workers=2, backend="process")
     fleet.run(CampaignSpec(installs=8, seed=7), shards=2)
     pids = list(fleet._pool.worker_pids().values())
     fleet.close()
@@ -206,3 +236,81 @@ def test_executor_close_is_idempotent_and_releases_the_pool():
     report = fleet.run(CampaignSpec(installs=8, seed=7), shards=2)
     assert report.stats.runs == 8
     fleet.close()
+
+
+class _InFlight(FleetProgress):
+    """Tracks the most shards ever started but not yet done."""
+
+    def __init__(self):
+        self.running = 0
+        self.peak = 0
+
+    def on_shard_start(self, shard, attempt):
+        self.running += 1
+        self.peak = max(self.peak, self.running)
+
+    def on_shard_done(self, result, done, total):
+        self.running -= 1
+
+
+@needs_multiprocessing
+def test_reused_executor_pool_grows_to_full_width_and_never_shrinks():
+    with FleetExecutor(workers=4, backend="process") as fleet:
+        one = fleet.run(CampaignSpec(installs=4, seed=7), shards=1)
+        assert (one.workers, fleet._pool.workers) == (1, 1)
+        fleet.progress = in_flight = _InFlight()
+        four = fleet.run(CampaignSpec(installs=16, seed=7), shards=4)
+        assert (four.workers, fleet._pool.workers) == (4, 4)
+        assert in_flight.peak == 4
+        two = fleet.run(CampaignSpec(installs=8, seed=7), shards=2)
+        assert (two.workers, fleet._pool.workers) == (2, 4)
+    for report in (one, four, two):
+        assert {shard.backend for shard in report.shards} == {"process"}
+
+
+def _pool_children():
+    import multiprocessing
+
+    return [child for child in multiprocessing.active_children()
+            if child.name.startswith("fleet-warm-")]
+
+
+@needs_multiprocessing
+def test_one_shot_runs_leave_no_worker_alive():
+    from repro.analysis.pipeline import AnalysisSpec, run_analysis
+    from repro.engine.executor import run_fleet
+
+    assert _pool_children() == []
+    fleet = run_fleet(CampaignSpec(installs=12, seed=7), shards=3,
+                      workers=2, backend="process")
+    assert _pool_children() == []
+    analysis = run_analysis(AnalysisSpec(corpus="play", apps=60), shards=3,
+                            workers=2, backend="process")
+    assert _pool_children() == []
+    for report in (fleet, analysis):
+        assert report.backend == "process"
+        assert report.workers == 2
+        assert {shard.backend for shard in report.shards} == {"process"}
+
+
+class _FailingObserver(FleetProgress):
+    def on_shard_done(self, result, done, total):
+        raise RuntimeError("observer failed")
+
+
+@needs_multiprocessing
+def test_a_run_that_raises_kills_its_in_flight_workers():
+    # Shard 1 hangs; shard 0's completion makes the observer raise.
+    # The hung task must not outlive the run, in this pool or the next.
+    spec = CampaignSpec(installs=8, seed=7, chaos="hang:1")
+    serial = FleetExecutor(backend="serial").run(
+        CampaignSpec(installs=8, seed=7), shards=2)
+    with FleetExecutor(workers=2, backend="process") as fleet:
+        fleet.progress = _FailingObserver()
+        with pytest.raises(RuntimeError, match="observer failed"):
+            fleet.run(spec, shards=2)
+        assert fleet._pool is None
+        assert _pool_children() == []
+        fleet.progress = FleetProgress()
+        report = fleet.run(CampaignSpec(installs=8, seed=7), shards=2)
+    assert report.stats.counter_tuple() == serial.stats.counter_tuple()

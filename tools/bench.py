@@ -230,8 +230,7 @@ def bench_serve(installs: int, shards: int, jobs: int, workers: int,
                            workers=workers, progress=NullProgress())
         expected = report.stats.counter_tuple()
     cold = time.perf_counter() - started
-    with FleetExecutor(workers=workers, backend="process",
-                       warm=True) as fleet:
+    with FleetExecutor(workers=workers, backend="process") as fleet:
         fleet.run(spec, shards=shards)  # pool warm-up, untimed
         started = time.perf_counter()
         for _ in range(jobs):
