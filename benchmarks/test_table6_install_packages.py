@@ -3,14 +3,14 @@
 import pytest
 
 from repro.measurement.report import render_table6
-from repro.measurement.tables import compute_table6
+from repro.measurement.tables import compute_table6, study_stats
 
 PAPER_RATIOS = {"samsung": 0.0845, "huawei": 0.1032, "xiaomi": 0.1187}
 
 
-def test_table6_install_packages(benchmark, fleet, report_sink):
+def test_table6_install_packages(benchmark, report_sink):
     table = benchmark.pedantic(
-        lambda: compute_table6(fleet), rounds=1, iterations=1
+        lambda: compute_table6(study_stats("images")), rounds=1, iterations=1
     )
     text = render_table6(table)
     text += (

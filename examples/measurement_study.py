@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """The full Section IV measurement study over the synthetic corpora.
 
-Generates the Play and pre-installed corpora and the factory-image
-fleet, runs the classifier / redirect scan / platform-key / Hare
-analyses, and prints Tables II-VI plus the two prose findings.
+Runs the measurement pipeline once per corpus (Play, pre-installed,
+factory images) and reads Tables II-VI from its merged stats, then runs
+the platform-key and Hare analyses over the factory-image fleet for the
+two prose findings.
 
 Run:  python examples/measurement_study.py
 """
@@ -23,30 +24,34 @@ from repro.measurement.tables import (
     compute_table4,
     compute_table5,
     compute_table6,
+    study_stats,
 )
 
 
 def main():
-    print("generating corpora and fleet (seeded, deterministic)...\n")
+    print("analyzing corpora and fleet (seeded, deterministic)...\n")
 
+    play = study_stats("play")
     print(render_installer_breakdown(
         "Table II: potentially vulnerable GooglePlay apps (SD-Card usage)",
-        compute_table2(),
+        compute_table2(play),
     ))
     print()
     print(render_installer_breakdown(
         "Table III: potentially vulnerable pre-installed apps",
-        compute_table3(),
+        compute_table3(study_stats("preinstalled")),
     ))
     print()
-    print(render_table4(compute_table4()))
+    print(render_table4(compute_table4(play)))
+    print()
+
+    images = study_stats("images")
+    print(render_table5(compute_table5(images)))
+    print()
+    print(render_table6(compute_table6(images)))
     print()
 
     fleet = generate_fleet()
-    print(render_table5(compute_table5(fleet)))
-    print()
-    print(render_table6(compute_table6(fleet)))
-    print()
 
     catalogs = generate_appstore_catalogs()
     keys = analyze(fleet, catalogs)

@@ -13,7 +13,7 @@ then runs the paper's actual analyses over them:
 - :mod:`repro.analysis.classifier` — the vulnerable/secure/unknown
   installer classifier (Tables II and III),
 - :mod:`repro.analysis.redirect_scan` — hardcoded Play URL/scheme
-  counting (Table IV),
+  extraction from a parsed program (Table IV),
 - :mod:`repro.analysis.factory_images` — vendor image fleets,
   INSTALL_PACKAGES prevalence (Tables V and VI),
 - :mod:`repro.analysis.platform_keys` — single-platform-key findings,

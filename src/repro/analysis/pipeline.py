@@ -63,7 +63,7 @@ from repro.analysis.factory_images import (
     scaled_image_specs,
 )
 from repro.analysis.hare_analysis import find_hare_apps
-from repro.analysis.redirect_scan import REDIRECT_PREFIXES
+from repro.analysis.redirect_scan import redirect_targets
 from repro.analysis.smali import parse_program
 from repro.engine.spec import parse_chaos
 from repro.errors import ReproError
@@ -181,16 +181,6 @@ def analyze_app(app: CorpusApp, classifier: InstallerClassifier,
     """Run every per-app pass over one app, parsing its code once."""
     program = parse_program(app.smali_text, lenient=True)
     result = classifier.classify(app, program=program)
-    targets: List[str] = []
-    if scan_redirects:
-        # One tuple-argument startswith rejects non-redirect strings in
-        # a single C call; only matches pay the per-prefix loop.
-        for value in program.string_list():
-            if value.startswith(REDIRECT_PREFIXES):
-                for prefix in REDIRECT_PREFIXES:
-                    if value.startswith(prefix):
-                        targets.append(value[len(prefix):])
-                        break
     record = object.__new__(AppAnalysis)
     # A frozen dataclass __init__ pays one object.__setattr__ per
     # field; the direct __dict__ store is measurable at sweep scale.
@@ -201,7 +191,8 @@ def analyze_app(app: CorpusApp, classifier: InstallerClassifier,
         "uses_sdcard": result.uses_sdcard,
         "sets_world_readable": result.sets_world_readable,
         "unresolved_setter": result.unresolved_setter,
-        "redirect_targets": tuple(targets),
+        "redirect_targets": (redirect_targets(program) if scan_redirects
+                             else ()),
         "instructions": result.instructions,
         "unparsed_lines": result.unparsed_lines,
         "detectors": tuple(result.detectors),
@@ -569,8 +560,13 @@ class AnalysisShardSpec:
             stats.bump("images")
             stats.bump(f"vendor/{vendor}/images")
             stats.bump(f"vendor/{vendor}/apps", len(image.apps))
-            stats.bump(f"vendor/{vendor}/install_packages",
-                       len(image.install_packages_apps()))
+            install_packages = len(image.install_packages_apps())
+            stats.bump(f"vendor/{vendor}/install_packages", install_packages)
+            stats.bump(f"year/{image.year_index}/images")
+            stats.bump(f"year/{image.year_index}/install_packages",
+                       install_packages)
+            if image.flagship:
+                stats.mark("flagship/install_packages", str(install_packages))
             for app in image.apps:
                 if app.platform_signed:
                     stats.bump(f"vendor/{vendor}/platform_signed_instances")
@@ -743,13 +739,12 @@ class AnalysisReport:
                 f"{stats.count('write_external_instances')}",
             ]
         else:
-            buckets = table4_counts(stats)
-            any_count = stats.count("redirect/apps_with_any")
+            table4 = table4_counts(stats)
+            any_count = table4["redirecting"]
             share = 100.0 * any_count / total if total else 0.0
             lines.append(
                 f"  redirecting apps        : {any_count} ({share:.1f}%)")
-            for limit in (1, 2, 4, 8):
-                count = buckets[limit]
+            for limit, count in table4["buckets"].items():
                 pct = 100.0 * count / total if total else 0.0
                 lines.append(
                     f"    <= {limit} hardcoded target(s): "
@@ -827,29 +822,76 @@ def table3_counts(stats: AnalysisStats) -> Dict[str, int]:
     return counts
 
 
-def table4_counts(stats: AnalysisStats) -> Dict[int, int]:
-    """Table IV columns: apps with 1..limit hardcoded targets."""
+def table4_counts(stats: AnalysisStats) -> Dict[str, Any]:
+    """Table IV shape: corpus size, redirecting apps, and the columns.
+
+    ``buckets`` maps each column limit (1/2/4/8) to the apps with
+    1..limit hardcoded targets.
+    """
     exact = {}
     for name, value in stats.counters.items():
         if name.startswith("redirect_count/"):
             exact[int(name.split("/", 1)[1])] = value
     return {
-        limit: sum(value for count, value in exact.items()
-                   if 1 <= count <= limit)
-        for limit in (1, 2, 4, 8)
+        "total": stats.count("apps"),
+        "redirecting": stats.count("redirect/apps_with_any"),
+        "buckets": {
+            limit: sum(value for count, value in exact.items()
+                       if 1 <= count <= limit)
+            for limit in (1, 2, 4, 8)
+        },
     }
 
 
-def table5_counts(stats: AnalysisStats) -> Dict[str, Dict[str, int]]:
-    """Table V shape: per-installer image/carrier/vendor/model impact."""
+def table5_counts(stats: AnalysisStats) -> Dict[str, Dict[str, Any]]:
+    """Table V shape: per-installer image/carrier/vendor/model impact.
+
+    ``carriers`` and ``vendors`` are sorted name tuples; ``images`` and
+    ``models`` are counts.  Keys follow the paper's row order.
+    """
     return {
         package: {
             "images": stats.count(f"table5/{package}/images"),
-            "carriers": stats.cardinality(f"table5/{package}/carriers"),
-            "vendors": stats.cardinality(f"table5/{package}/vendors"),
+            "carriers": tuple(sorted(
+                stats.sets.get(f"table5/{package}/carriers", ()))),
+            "vendors": tuple(sorted(
+                stats.sets.get(f"table5/{package}/vendors", ()))),
             "models": stats.cardinality(f"table5/{package}/models"),
         }
         for package in _TABLE5_PACKAGES
+    }
+
+
+def table6_counts(stats: AnalysisStats) -> Dict[str, Any]:
+    """Table VI shape: INSTALL_PACKAGES totals per vendor and per year.
+
+    ``vendors`` maps each vendor to its image, system-app and
+    INSTALL_PACKAGES-app totals; ``years`` maps each firmware-year
+    quartile (0..3, 2012..2015) to its image and INSTALL_PACKAGES-app
+    totals; ``flagship`` lists the distinct INSTALL_PACKAGES counts of
+    flagship images, ascending.
+    """
+    return {
+        "vendors": {
+            spec.vendor: {
+                "images": stats.count(f"vendor/{spec.vendor}/images"),
+                "apps": stats.count(f"vendor/{spec.vendor}/apps"),
+                "install_packages": stats.count(
+                    f"vendor/{spec.vendor}/install_packages"),
+            }
+            for spec in ALL_SPECS
+        },
+        "years": {
+            year: {
+                "images": stats.count(f"year/{year}/images"),
+                "install_packages": stats.count(
+                    f"year/{year}/install_packages"),
+            }
+            for year in range(4)
+        },
+        "flagship": sorted(
+            int(count)
+            for count in stats.sets.get("flagship/install_packages", ())),
     }
 
 

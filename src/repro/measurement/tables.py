@@ -1,33 +1,36 @@
-"""Compute the paper's measurement tables from corpora and fleets.
+"""The paper's measurement tables as views over pipeline stats.
 
-Each ``compute_table*`` function runs the *analysis* (classifier, code
-scan, fleet joins) over generated inputs and returns a small dataclass
-with exactly the numbers the paper's table reports, so benchmarks can
-print paper-vs-measured side by side.
+:func:`study_stats` runs one serial :func:`~repro.analysis.pipeline.run_analysis`
+over a corpus; each ``compute_table*`` function reads the merged
+:class:`~repro.analysis.pipeline.AnalysisStats` through the pipeline's
+``table*_counts`` extractors and returns a small dataclass with exactly
+the numbers the paper's table reports, so benchmarks can print
+paper-vs-measured side by side.  Tables II and IV read the ``play``
+stats, Table III the ``preinstalled`` stats, Tables V and VI the
+``images`` stats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.classifier import Category, InstallerClassifier
-from repro.analysis.corpus import (
-    CorpusApp,
-    WRITE_EXTERNAL,
-    generate_play_corpus,
-    generate_preinstalled_corpus,
+from repro.analysis.pipeline import (
+    AnalysisSpec,
+    AnalysisStats,
+    run_analysis,
+    table2_counts,
+    table3_counts,
+    table4_counts,
+    table5_counts,
+    table6_counts,
 )
-from repro.analysis.factory_images import (
-    ALL_SPECS,
-    AMAZON_PKG,
-    DTIGNITE_PKG,
-    Fleet,
-    HUAWEI_STORE_PKG,
-    SPRINTZONE_PKG,
-    XIAOMI_STORE_PKG,
-)
-from repro.analysis.redirect_scan import RedirectStudy, scan_corpus
+
+
+def study_stats(corpus: str, seed: int = 2016) -> AnalysisStats:
+    """Merged stats of one serial paper-scale pass over ``corpus``."""
+    spec = AnalysisSpec(corpus=corpus, seed=seed)
+    return run_analysis(spec, shards=1, backend="serial").stats
 
 
 # ---------------------------------------------------------------------------
@@ -85,37 +88,31 @@ class Table3(InstallerBreakdown):
     write_external_instances: int = 0
 
 
-def compute_table2(apps: Optional[Sequence[CorpusApp]] = None,
-                   seed: int = 2016) -> Table2:
-    """Classify the Play corpus and fill Table II."""
-    apps = list(apps) if apps is not None else generate_play_corpus(seed)
-    results = InstallerClassifier().classify_corpus(apps)
+def compute_table2(stats: AnalysisStats) -> Table2:
+    """Table II from the Play corpus stats."""
+    counts = table2_counts(stats)
     return Table2(
-        corpus_size=len(apps),
-        installers=results.installers,
-        vulnerable=results.count(Category.POTENTIALLY_VULNERABLE),
-        secure=results.count(Category.POTENTIALLY_SECURE),
-        unknown=results.count(Category.UNKNOWN),
-        write_external=sum(1 for app in apps if app.has_permission(WRITE_EXTERNAL)),
+        corpus_size=counts["total"],
+        installers=counts["installers"],
+        vulnerable=counts["vulnerable"],
+        secure=counts["secure"],
+        unknown=counts["unknown"],
+        write_external=counts["write_external"],
     )
 
 
-def compute_table3(apps: Optional[Sequence[CorpusApp]] = None,
-                   seed: int = 2016) -> Table3:
-    """Classify the pre-installed corpus and fill Table III."""
-    apps = list(apps) if apps is not None else generate_preinstalled_corpus(seed)
-    results = InstallerClassifier().classify_corpus(apps)
+def compute_table3(stats: AnalysisStats) -> Table3:
+    """Table III from the pre-installed corpus stats."""
+    counts = table3_counts(stats)
     return Table3(
-        corpus_size=len(apps),
-        installers=results.installers,
-        vulnerable=results.count(Category.POTENTIALLY_VULNERABLE),
-        secure=results.count(Category.POTENTIALLY_SECURE),
-        unknown=results.count(Category.UNKNOWN),
-        write_external=sum(1 for app in apps if app.has_permission(WRITE_EXTERNAL)),
-        total_instances=sum(app.instances for app in apps),
-        write_external_instances=sum(
-            app.instances for app in apps if app.has_permission(WRITE_EXTERNAL)
-        ),
+        corpus_size=counts["total"],
+        installers=counts["installers"],
+        vulnerable=counts["vulnerable"],
+        secure=counts["secure"],
+        unknown=counts["unknown"],
+        write_external=counts["write_external"],
+        total_instances=counts["instances"],
+        write_external_instances=counts["write_external_instances"],
     )
 
 
@@ -134,16 +131,16 @@ class Table4:
     redirecting_fraction: float
 
 
-def compute_table4(apps: Optional[Sequence[CorpusApp]] = None,
-                   seed: int = 2016) -> Table4:
-    """Scan the Play corpus code for Table IV."""
-    apps = list(apps) if apps is not None else generate_play_corpus(seed)
-    study: RedirectStudy = scan_corpus(apps)
+def compute_table4(stats: AnalysisStats) -> Table4:
+    """Table IV from the Play corpus stats."""
+    counts = table4_counts(stats)
+    total = counts["total"]
     return Table4(
-        corpus_size=len(apps),
-        buckets=study.table_iv_row(),
-        redirecting=study.apps_with_any(),
-        redirecting_fraction=study.apps_with_any() / len(apps),
+        corpus_size=total,
+        buckets={limit: (count, count / total)
+                 for limit, count in counts["buckets"].items()},
+        redirecting=counts["redirecting"],
+        redirecting_fraction=counts["redirecting"] / total,
     )
 
 
@@ -177,26 +174,18 @@ class Table5:
         return None
 
 
-TABLE5_INSTALLERS = (
-    AMAZON_PKG, DTIGNITE_PKG, XIAOMI_STORE_PKG, HUAWEI_STORE_PKG, SPRINTZONE_PKG,
-)
-
-
-def compute_table5(fleet: Fleet) -> Table5:
-    """Join the fleet against the named vulnerable installers."""
-    table = Table5()
-    for package in TABLE5_INSTALLERS:
-        images = fleet.images_with_package(package)
-        table.rows.append(
-            ImpactRow(
-                installer_package=package,
-                image_count=len(images),
-                carriers=tuple(sorted({image.carrier for image in images})),
-                vendors=tuple(sorted({image.vendor for image in images})),
-                models=len({image.model for image in images}),
-            )
+def compute_table5(stats: AnalysisStats) -> Table5:
+    """Table V from the images corpus stats."""
+    return Table5(rows=[
+        ImpactRow(
+            installer_package=package,
+            image_count=counts["images"],
+            carriers=counts["carriers"],
+            vendors=counts["vendors"],
+            models=counts["models"],
         )
-    return table
+        for package, counts in table5_counts(stats).items()
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -237,36 +226,27 @@ class Table6:
         return None
 
 
-def compute_table6(fleet: Fleet) -> Table6:
-    """Aggregate INSTALL_PACKAGES prevalence per vendor."""
-    table = Table6()
-    for spec in ALL_SPECS:
-        images = fleet.by_vendor(spec.vendor)
-        table.rows.append(
-            VendorPrivilegeRow(
-                vendor=spec.vendor,
-                avg_system_apps=sum(len(image.apps) for image in images) / len(images),
-                avg_install_packages=(
-                    sum(len(image.install_packages_apps()) for image in images)
-                    / len(images)
-                ),
-            )
+def compute_table6(stats: AnalysisStats) -> Table6:
+    """Table VI from the images corpus stats."""
+    counts = table6_counts(stats)
+    table = Table6(rows=[
+        VendorPrivilegeRow(
+            vendor=vendor,
+            avg_system_apps=_per_image(totals, "apps"),
+            avg_install_packages=_per_image(totals, "install_packages"),
         )
+        for vendor, totals in counts["vendors"].items()
+    ])
     # The "doubled in three years" finding: oldest vs newest quartile.
-    oldest = _avg_ip(fleet, year_index=0)
-    newest = _avg_ip(fleet, year_index=3)
+    oldest = _per_image(counts["years"][0], "install_packages")
+    newest = _per_image(counts["years"][3], "install_packages")
     table.doubled_over_period = newest >= 1.9 * oldest
-    flagship_counts = [
-        len(image.install_packages_apps())
-        for image in fleet.images if image.flagship
-    ]
-    if flagship_counts:
-        table.flagship_range = (min(flagship_counts), max(flagship_counts))
+    flagship = counts["flagship"]
+    if flagship:
+        table.flagship_range = (flagship[0], flagship[-1])
     return table
 
 
-def _avg_ip(fleet: Fleet, year_index: int) -> float:
-    images = [image for image in fleet.images if image.year_index == year_index]
-    if not images:
-        return 0.0
-    return sum(len(image.install_packages_apps()) for image in images) / len(images)
+def _per_image(totals: Dict[str, int], name: str) -> float:
+    images = totals["images"]
+    return totals[name] / images if images else 0.0

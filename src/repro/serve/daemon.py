@@ -563,7 +563,14 @@ class ServeDaemon:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         try:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # The line overran the stream's buffer limit; readline
+                # has already discarded it, so answer and hang up.
+                await self._write(writer, error_response(
+                    "request line exceeds the stream limit"))
+                return
             if not line:
                 return
             try:

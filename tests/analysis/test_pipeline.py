@@ -2,8 +2,8 @@
 
 The load-bearing contract: for ANY shard/worker split, the merged
 stats, the rendered tables, and the exported trace records are
-identical to a serial run — and the serial run agrees with the
-measurement layer's existing single-process tables.
+identical to a serial run — and the measurement tables built from the
+sharded stats carry the paper's pinned counts.
 """
 
 import json
@@ -19,10 +19,6 @@ from repro.analysis.pipeline import (
     AnalysisStats,
     merge_analysis_stats,
     run_analysis,
-    table2_counts,
-    table3_counts,
-    table4_counts,
-    table5_counts,
 )
 from repro.errors import ReproError
 from repro.measurement.tables import (
@@ -30,6 +26,7 @@ from repro.measurement.tables import (
     compute_table3,
     compute_table4,
     compute_table5,
+    compute_table6,
 )
 
 
@@ -65,32 +62,28 @@ def preinstalled_report():
 
 
 def test_play_pipeline_matches_measurement_tables(play_report):
-    counts = table2_counts(play_report.stats)
-    table2 = compute_table2()
-    assert counts["total"] == table2.corpus_size == 12750
-    assert counts["installers"] == table2.installers == 1493
-    assert counts["vulnerable"] == table2.vulnerable == 779
-    assert counts["secure"] == table2.secure == 152
-    assert counts["unknown"] == table2.unknown == 562
-    assert counts["write_external"] == table2.write_external == 8721
-    table4 = compute_table4()
-    assert table4_counts(play_report.stats) == {
-        limit: count for limit, (count, _share) in table4.buckets.items()
-    }
-    assert (play_report.stats.count("redirect/apps_with_any")
-            == table4.redirecting == 10799)
+    table2 = compute_table2(play_report.stats)
+    assert table2.corpus_size == 12750
+    assert table2.installers == 1493
+    assert table2.vulnerable == 779
+    assert table2.secure == 152
+    assert table2.unknown == 562
+    assert table2.write_external == 8721
+    table4 = compute_table4(play_report.stats)
+    assert {limit: count for limit, (count, _share)
+            in table4.buckets.items()} == {1: 723, 2: 1405, 4: 2090, 8: 2337}
+    assert table4.redirecting == 10799
 
 
 def test_preinstalled_pipeline_matches_measurement_tables(preinstalled_report):
-    counts = table3_counts(preinstalled_report.stats)
-    table3 = compute_table3()
-    assert counts["total"] == table3.corpus_size == 1613
-    assert counts["installers"] == table3.installers == 238
-    assert counts["vulnerable"] == table3.vulnerable == 102
-    assert counts["secure"] == table3.secure == 3
-    assert counts["unknown"] == table3.unknown == 133
-    assert counts["instances"] == 12050
-    assert counts["write_external_instances"] == 5864
+    table3 = compute_table3(preinstalled_report.stats)
+    assert table3.corpus_size == 1613
+    assert table3.installers == 238
+    assert table3.vulnerable == 102
+    assert table3.secure == 3
+    assert table3.unknown == 133
+    assert table3.total_instances == 12050
+    assert table3.write_external_instances == 5864
 
 
 @pytest.mark.parametrize("corpus", ["play", "preinstalled"])
@@ -144,15 +137,33 @@ def images_report():
     return run_serial(AnalysisSpec(corpus="images"), shards=6)
 
 
+#: Table V as the paper-scale fleet pins it: package -> (images,
+#: carriers, vendors, models).
+TABLE5_ROWS = {
+    "com.amazon.venezia": (192, 2, 1, 192),
+    "com.dti.ignite": (857, 9, 1, 677),
+    "com.xiaomi.market": (382, 4, 1, 149),
+    "com.huawei.appmarket": (234, 4, 1, 135),
+    "com.sprint.zone": (96, 1, 1, 96),
+}
+
+
 def test_images_pipeline_matches_table5(images_report):
-    expected = {
-        row.installer_package: (row.image_count, len(row.carriers),
-                                len(row.vendors), row.models)
-        for row in compute_table5(generate_fleet(2016)).rows
-    }
-    for package, counts in table5_counts(images_report.stats).items():
-        assert (counts["images"], counts["carriers"], counts["vendors"],
-                counts["models"]) == expected[package]
+    rows = compute_table5(images_report.stats).rows
+    assert {row.installer_package: (row.image_count, len(row.carriers),
+                                    len(row.vendors), row.models)
+            for row in rows} == TABLE5_ROWS
+    assert [row.installer_package for row in rows] == list(TABLE5_ROWS)
+
+
+def test_images_pipeline_matches_table6(images_report):
+    table6 = compute_table6(images_report.stats)
+    assert [(row.vendor, round(row.avg_install_packages, 1),
+             round(row.avg_system_apps, 1)) for row in table6.rows] == [
+        ("samsung", 17.7, 209.0), ("xiaomi", 14.0, 117.0),
+        ("huawei", 15.0, 144.0)]
+    assert table6.doubled_over_period
+    assert table6.flagship_range == (29, 31)
 
 
 def test_images_pipeline_matches_hare_study(images_report):

@@ -131,6 +131,25 @@ def test_unknown_job_and_bad_requests_return_errors(live_daemon):
 
 
 @needs_unix_sockets
+def test_oversized_request_line_gets_an_error_reply(live_daemon):
+    client, daemon, _ = live_daemon
+    import json
+    import socket
+
+    # 70 KB is past asyncio's 64 KiB readline limit.
+    line = json.dumps({"v": 1, "op": "health",
+                       "pad": "x" * 70_000}).encode() + b"\n"
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+        raw.settimeout(10)
+        raw.connect(daemon.socket_path)
+        raw.sendall(line)
+        reply = json.loads(raw.makefile("rb").readline())
+    assert reply["ok"] is False
+    assert "limit" in reply["error"]
+    assert client.health()["queue_depth"] == 0
+
+
+@needs_unix_sockets
 def test_shutdown_finishes_the_daemon_and_removes_the_socket(tmp_path):
     import os
 
