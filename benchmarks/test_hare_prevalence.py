@@ -2,22 +2,24 @@
 
 import pytest
 
-from repro.analysis.hare_analysis import search_images
+from repro.analysis.pipeline import hare_counts
 from repro.measurement.report import render_table
+from repro.measurement.tables import study_stats
 
 PAPER = {"hare_apps": 178, "total_cases": 27763, "avg_per_image": 23.5}
 
 
-def test_hare_prevalence(benchmark, fleet, report_sink):
-    study = benchmark.pedantic(lambda: search_images(fleet), rounds=1,
-                               iterations=1)
+def test_hare_prevalence(benchmark, report_sink):
+    hare = benchmark.pedantic(lambda: hare_counts(study_stats("images")),
+                              rounds=1, iterations=1)
+    average = hare["cases"] / hare["searched_images"]
     rows = [
         ("hare-using apps (10 sample images)", PAPER["hare_apps"],
-         len(study.hare_apps)),
-        ("unique vulnerable cases", PAPER["total_cases"], study.total_cases),
+         hare["apps"]),
+        ("unique vulnerable cases", PAPER["total_cases"], hare["cases"]),
         ("average per searched image", PAPER["avg_per_image"],
-         f"{study.average_per_image:.1f}"),
-        ("searched images", 1181, len(study.cases_by_image)),
+         f"{average:.1f}"),
+        ("searched images", 1181, hare["searched_images"]),
     ]
     report_sink("hare_prevalence", render_table(
         "Hare permission prevalence (Section IV-B)",
@@ -25,7 +27,6 @@ def test_hare_prevalence(benchmark, fleet, report_sink):
         rows,
     ))
 
-    assert len(study.hare_apps) == PAPER["hare_apps"]
-    assert study.total_cases == PAPER["total_cases"]
-    assert study.average_per_image == pytest.approx(PAPER["avg_per_image"],
-                                                    abs=0.1)
+    assert hare["apps"] == PAPER["hare_apps"]
+    assert hare["cases"] == PAPER["total_cases"]
+    assert average == pytest.approx(PAPER["avg_per_image"], abs=0.1)

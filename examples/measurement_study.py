@@ -2,15 +2,15 @@
 """The full Section IV measurement study over the synthetic corpora.
 
 Runs the measurement pipeline once per corpus (Play, pre-installed,
-factory images) and reads Tables II-VI from its merged stats, then runs
-the platform-key and Hare analyses over the factory-image fleet for the
-two prose findings.
+factory images) and reads Tables II-VI and the Hare search from its
+merged stats, then runs the platform-key analysis over the
+factory-image fleet for the other prose finding.
 
 Run:  python examples/measurement_study.py
 """
 
 from repro.analysis.factory_images import generate_fleet
-from repro.analysis.hare_analysis import search_images
+from repro.analysis.pipeline import hare_counts
 from repro.analysis.platform_keys import analyze, generate_appstore_catalogs
 from repro.measurement.report import (
     render_installer_breakdown,
@@ -69,11 +69,12 @@ def main():
           f"{vulnerable[0].package if vulnerable else 'none'}")
     print()
 
-    hare = search_images(fleet)
+    hare = hare_counts(images)
+    average = hare["cases"] / hare["searched_images"]
     print("Hare permissions (Section IV-B):")
-    print(f"  hare-using apps on 10 sample images : {len(hare.hare_apps)}")
-    print(f"  unique vulnerable cases             : {hare.total_cases}")
-    print(f"  average per searched image          : {hare.average_per_image:.1f}")
+    print(f"  hare-using apps on 10 sample images : {hare['apps']}")
+    print(f"  unique vulnerable cases             : {hare['cases']}")
+    print(f"  average per searched image          : {average:.1f}")
 
 
 if __name__ == "__main__":

@@ -1,21 +1,26 @@
 """Hare permission prevalence across factory images (Section IV-B).
 
-Reproduces the paper's two-step measurement:
+The paper's measurement has two steps:
 
 1. from 10 sample Samsung images, extract the apps that *use*
-   permissions they themselves fail to define (178 in the paper),
+   permissions they themselves fail to define (178 in the paper) —
+   :func:`find_hare_apps`,
 2. search the permissions those apps use across 1,181 other images,
    counting the unique (permission, image) pairs where **no app on the
    image defines the permission** — each such pair is a vulnerable
    case: a GIA attacker can install the platform-signed hare-creating
    app there and define the permission itself (27,763 cases,
    23.5 per image, in the paper).
+
+Step 2 runs per image inside the ``images`` corpus of
+:mod:`repro.analysis.pipeline`; read its totals with
+:func:`~repro.analysis.pipeline.hare_counts`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Set, Tuple
 
 from repro.analysis.factory_images import Fleet
 
@@ -28,35 +33,13 @@ class HareApp:
     permission: str
 
 
-@dataclass
-class HareStudy:
-    """Results of the cross-image hare search."""
-
-    hare_apps: List[HareApp] = field(default_factory=list)
-    cases_by_image: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def total_cases(self) -> int:
-        """Unique (permission, image) vulnerable cases."""
-        return sum(self.cases_by_image.values())
-
-    @property
-    def average_per_image(self) -> float:
-        """Average vulnerable cases per searched image."""
-        if not self.cases_by_image:
-            return 0.0
-        return self.total_cases / len(self.cases_by_image)
-
-
 def find_hare_apps(fleet: Fleet) -> List[HareApp]:
     """Step 1: hare-using apps on the sample images."""
     by_id = {image.image_id: image for image in fleet.images}
     found: List[HareApp] = []
     seen: Set[Tuple[str, str]] = set()
     for image_id in fleet.sample_image_ids:
-        image = by_id[image_id]
-        defined = image.defined_permissions()
-        for app in image.apps:
+        for app in by_id[image_id].apps:
             for permission in app.uses_permissions:
                 if permission in app.defines_permissions:
                     continue
@@ -71,15 +54,3 @@ def find_hare_apps(fleet: Fleet) -> List[HareApp]:
                 found.append(HareApp(package=app.package, permission=permission))
     return found
 
-
-def search_images(fleet: Fleet) -> HareStudy:
-    """Step 2: count vulnerable cases across the search images."""
-    study = HareStudy(hare_apps=find_hare_apps(fleet))
-    permissions = [hare.permission for hare in study.hare_apps]
-    by_id = {image.image_id: image for image in fleet.images}
-    for image_id in fleet.search_image_ids:
-        image = by_id[image_id]
-        defined = image.defined_permissions()
-        missing = sum(1 for permission in permissions if permission not in defined)
-        study.cases_by_image[image_id] = missing
-    return study

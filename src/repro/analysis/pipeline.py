@@ -758,17 +758,17 @@ class AnalysisReport:
 
     def _render_images(self) -> List[str]:
         stats = self.stats
+        hare = hare_counts(stats)
         lines = [
             f"  images analyzed         : {stats.count('images')}",
-            f"  hare apps (sample step) : {stats.cardinality('hare/apps')}",
-            f"  hare vulnerable cases   : {stats.count('hare/cases')} over "
-            f"{stats.count('hare/searched_images')} searched image(s)",
+            f"  hare apps (sample step) : {hare['apps']}",
+            f"  hare vulnerable cases   : {hare['cases']} over "
+            f"{hare['searched_images']} searched image(s)",
         ]
-        searched = stats.count("hare/searched_images")
-        if searched:
+        if hare["searched_images"]:
             lines.append(
                 f"  hare cases per image    : "
-                f"{stats.count('hare/cases') / searched:.1f}")
+                f"{hare['cases'] / hare['searched_images']:.1f}")
         for vendor_spec in ALL_SPECS:
             vendor = vendor_spec.vendor
             images = stats.count(f"vendor/{vendor}/images")
@@ -892,6 +892,21 @@ def table6_counts(stats: AnalysisStats) -> Dict[str, Any]:
         "flagship": sorted(
             int(count)
             for count in stats.sets.get("flagship/install_packages", ())),
+    }
+
+
+def hare_counts(stats: AnalysisStats) -> Dict[str, int]:
+    """Section IV-B hare search: step 1 apps, step 2 cases and images.
+
+    ``apps`` counts the distinct (package, permission) hare pairs on
+    the sample images; ``cases`` the (permission, image) pairs where no
+    app on a searched image defines the permission.
+    """
+    return {
+        "apps": stats.cardinality("hare/apps"),
+        "cases": stats.count("hare/cases"),
+        "searched_images": stats.count("hare/searched_images"),
+        "sample_images": stats.count("hare/sample_images"),
     }
 
 

@@ -16,7 +16,6 @@ from repro.engine.executor import (
     FleetExecutor,
     WarmPool,
     default_workers,
-    drain_queue,
     multiprocessing_usable,
     run_fleet,
     run_shard,
@@ -64,7 +63,6 @@ __all__ = [
     "WarmPool",
     "compact_stats",
     "default_workers",
-    "drain_queue",
     "merge_stats",
     "multiprocessing_usable",
     "parse_chaos",

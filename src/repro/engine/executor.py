@@ -32,7 +32,7 @@ import os
 import queue as queue_module
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.campaign import Campaign, CampaignStats
 from repro.engine.merge import FleetReport, ShardResult
@@ -154,57 +154,26 @@ def _chaos_indices(spec: CampaignSpec, mode: str) -> Set[int]:
     return set(indices)
 
 
-def wait_for_result(result_queue, processes=(),
-                    timeout: float = _IDLE_WAIT_SECONDS) -> bool:
-    """Block until the result queue has data, a worker exits, or timeout.
+def wait_for_result(readers, processes=(),
+                    timeout: float = _IDLE_WAIT_SECONDS) -> list:
+    """Block until a result pipe is readable, a worker exits, or timeout.
 
     The scheduler's replacement for fixed-interval polling: it sleeps
-    on the queue's underlying pipe and every worker's death sentinel at
-    once (:func:`multiprocessing.connection.wait`), so a finished shard
-    or a crashed worker wakes the parent immediately instead of after
-    the next poll tick.  Returns True when the queue signalled readable
-    (a ``get`` should now return promptly); False on a sentinel wake or
-    timeout.  Queues without an inspectable pipe conservatively return
-    True, degrading to the caller's timed ``get``.
+    on every worker's result pipe and death sentinel at once
+    (:func:`multiprocessing.connection.wait`), so a finished shard or a
+    crashed worker wakes the parent immediately instead of after the
+    next poll tick.  Returns the readable ``readers`` (a ``recv`` on
+    each returns a message or raises ``EOFError``); empty on a
+    sentinel wake or timeout.
     """
-    reader = getattr(result_queue, "_reader", None)
-    if reader is None:  # unexpected queue implementation
-        return True
     from multiprocessing.connection import wait as connection_wait
 
-    sentinels = [reader]
-    for process in processes:
-        sentinel = getattr(process, "sentinel", None)
-        if sentinel is not None:
-            sentinels.append(sentinel)
+    sentinels = [process.sentinel for process in processes]
     try:
-        ready = connection_wait(sentinels, timeout)
-    except OSError:  # a sentinel closed under us: treat as a wake
-        return True
-    return reader in ready
-
-
-def drain_queue(result_queue, handle: Callable[[object], None],
-                timeout: float = _IDLE_WAIT_SECONDS) -> int:
-    """Feed every queued message to ``handle``; return how many.
-
-    The scheduler's drain step: block up to ``timeout`` for the
-    first message, then sweep whatever else is already queued without
-    blocking again.  Pairs with :func:`wait_for_result` — wait on the
-    pipe and the worker sentinels, then drain — so a burst of shard
-    completions is handled in one pass while a worker death never
-    leaves the caller stuck in a blocking ``get``.
-    """
-    handled = 0
-    block = timeout
-    while True:
-        try:
-            message = result_queue.get(timeout=block)
-        except queue_module.Empty:
-            return handled
-        handle(message)
-        handled += 1
-        block = 0.0
+        ready = connection_wait([*readers, *sentinels], timeout)
+    except OSError:  # a sentinel closed under us: the caller sweeps
+        return []
+    return [reader for reader in readers if reader in ready]
 
 
 def multiprocessing_usable() -> bool:
@@ -225,7 +194,7 @@ def multiprocessing_usable() -> bool:
         return False
 
 
-def _warm_worker_entry(task_queue, result_queue) -> None:
+def _warm_worker_entry(task_queue, results) -> None:
     """Resident worker loop: run shards until a ``None`` sentinel.
 
     Failure injection (``spec.chaos``) lives here on purpose: only
@@ -233,8 +202,9 @@ def _warm_worker_entry(task_queue, result_queue) -> None:
     The worker stays alive between tasks: module imports and the
     content-addressed artifact caches built by earlier shards carry
     over to later ones.  Tasks are ``(seq, shard, (telemetry,
-    profile))``; messages are ``(seq, status, payload)``, where ``seq``
-    names the submit that the result answers.
+    profile))``; messages, sent on the worker's own ``results`` pipe,
+    are ``(seq, status, payload)``, where ``seq`` names the submit that
+    the result answers.
 
     A worker orphaned by a hard-killed parent (SIGKILL skips
     :meth:`WarmPool.close`) notices the reparenting on its next idle
@@ -260,11 +230,10 @@ def _warm_worker_entry(task_queue, result_queue) -> None:
                 raise RuntimeError(f"injected error in shard {shard.index}")
             result = run_shard(shard, telemetry=telemetry, profile=profile)
             result.backend = "process"
-            result_queue.put((seq, _OK, result))
+            results.send((seq, _OK, result))
         except BaseException as exc:  # pragma: no cover - failure-mode paths
             try:
-                result_queue.put(
-                    (seq, _ERROR, f"{type(exc).__name__}: {exc}"))
+                results.send((seq, _ERROR, f"{type(exc).__name__}: {exc}"))
             except Exception:
                 os._exit(14)
 
@@ -272,22 +241,28 @@ def _warm_worker_entry(task_queue, result_queue) -> None:
 class _WarmWorker:
     """Parent-side handle on one resident worker process."""
 
-    __slots__ = ("process", "task_queue")
+    __slots__ = ("process", "task_queue", "reader")
 
-    def __init__(self, process, task_queue) -> None:
+    def __init__(self, process, task_queue, reader) -> None:
         self.process = process
         self.task_queue = task_queue
+        #: Read end of the worker's result pipe; the worker holds the
+        #: only write end, so EOF here means the worker is gone.
+        self.reader = reader
 
 
 class WarmPool:
     """Resident shard workers, reused across campaigns.
 
     Workers are forked once and then fed tasks over per-worker queues;
-    results come back on one shared queue.  Every submit gets a fresh
-    sequence number, and a result counts only if it carries the number
-    of the submit that currently holds its ticket: a result that a
-    reaped or dead worker left in the queue is dropped, so it can
-    neither be credited to the ticket's retry nor idle a slot twice.
+    each answers on its own result pipe, waited on together with every
+    worker's death sentinel.  A worker killed part-way through sending
+    tears only its own pipe, which is closed with it when the slot is
+    respawned, so a reaped or dead worker's result can neither be
+    credited to the ticket's retry nor idle a slot twice, and never
+    stops another worker from reporting.  Every submit also gets a
+    fresh sequence number, and a result counts only if it carries the
+    number of the submit that currently holds its ticket.
     A dead worker (crash chaos, OOM, kill) is detected via its process
     sentinel, restarted in place, and its in-flight ticket is reported
     as a crash so the scheduler can retry the shard — ``restarts``
@@ -307,7 +282,6 @@ class WarmPool:
 
             context = multiprocessing.get_context()
         self._context = context
-        self.result_queue = context.Queue()
         self.restarts = 0
         self.tasks_done = 0
         self._closed = False
@@ -333,25 +307,29 @@ class WarmPool:
             self._spawn(slot)
 
     def _spawn(self, slot: int) -> None:
-        """(Re)create the worker in ``slot`` with a fresh task queue.
+        """(Re)create the worker in ``slot`` with fresh channels.
 
-        A fresh queue per incarnation, so a task the dead worker popped
-        but never finished cannot resurface in its replacement.
+        A fresh task queue and result pipe per incarnation, so a task
+        the dead worker popped but never finished cannot resurface in its
+        replacement, and a result it half sent is dropped with its pipe.
         """
         task_queue = self._context.Queue()
+        reader, writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_warm_worker_entry,
-            args=(task_queue, self.result_queue),
+            args=(task_queue, writer),
             name=f"fleet-warm-{slot}",
             daemon=True,
         )
         process.start()
-        self._workers[slot] = _WarmWorker(process, task_queue)
+        writer.close()  # the worker's copy is the only write end left
+        self._workers[slot] = _WarmWorker(process, task_queue, reader)
         self._idle.append(slot)
 
     def _respawn(self, slot: int) -> None:
         if slot in self._idle:
             self._idle.remove(slot)
+        self._workers[slot].reader.close()
         self.restarts += 1
         self._spawn(slot)
 
@@ -381,7 +359,7 @@ class WarmPool:
                 worker.process.terminate()
                 worker.process.join()
             worker.task_queue.close()
-        self.result_queue.close()
+            worker.reader.close()
         self._workers.clear()
         self._idle.clear()
         self._running.clear()
@@ -442,38 +420,43 @@ class WarmPool:
              ) -> List[Tuple[int, str, object]]:
         """Collect finished/failed tickets, restarting dead workers.
 
-        Blocks up to ``timeout`` on the result pipe plus every worker's
-        death sentinel (:func:`wait_for_result`), drains whatever
-        landed (:func:`drain_queue`), then sweeps for dead workers: an
-        in-flight ticket whose worker died without reporting comes back
-        as a ``crash`` event and the slot is respawned.  Returns
-        ``(ticket, status, payload)`` tuples where status is ``ok``
-        (payload: :class:`ShardResult`), ``error`` or ``crash``
-        (payload: reason string).
+        Blocks up to ``timeout`` on every worker's result pipe and death
+        sentinel (:func:`wait_for_result`), takes one message off each
+        readable pipe, then sweeps for dead workers: an in-flight
+        ticket whose worker died without reporting comes back as a
+        ``crash`` event and the slot is respawned.  Returns ``(ticket,
+        status, payload)`` tuples where status is ``ok`` (payload:
+        :class:`ShardResult`), ``error`` or ``crash`` (payload: reason
+        string).
         """
         events: List[Tuple[int, str, object]] = []
         by_seq = {seq: ticket
                   for ticket, (_, seq, _) in self._running.items()}
 
-        def handle(message) -> None:
-            seq, status, payload = message
+        def receive(worker: _WarmWorker) -> None:
+            try:
+                seq, status, payload = worker.reader.recv()
+            except (EOFError, OSError):
+                return  # died before a whole message: the sweep reports it
             ticket = by_seq.pop(seq, None)
             if ticket is None:
-                return  # stale: its submit was reaped as timeout/crash
+                return  # answers no submit that holds a ticket now
             slot = self._running.pop(ticket)[0]
             self._idle.append(slot)
             self.tasks_done += 1
             events.append((ticket, status, payload))
 
-        processes = [w.process for w in self._workers.values()]
-        if wait_for_result(self.result_queue, processes, timeout):
-            drain_queue(self.result_queue, handle, timeout=_IDLE_WAIT_SECONDS)
+        workers = list(self._workers.values())
+        by_reader = {worker.reader: worker for worker in workers}
+        for reader in wait_for_result(list(by_reader),
+                                      [w.process for w in workers], timeout):
+            receive(by_reader[reader])
         for slot, worker in list(self._workers.items()):
             if worker.process.is_alive():
                 continue
-            # Its result may still be in flight: one final drain chance
-            # before declaring the ticket crashed.
-            drain_queue(self.result_queue, handle, timeout=0.1)
+            # A result it finished sending before it died still counts.
+            if worker.reader.poll():
+                receive(worker)
             dead = [ticket for ticket, (s, _, _) in self._running.items()
                     if s == slot]
             exitcode = worker.process.exitcode

@@ -110,10 +110,10 @@ def _max_rss_kb(ru_maxrss: int) -> int:
 
 
 def host_metadata() -> Dict[str, Any]:
-    """Host facts stamped into benchmark baselines and exposition.
+    """Host facts to print beside wall-clock measurements.
 
-    Cross-machine perf numbers are uninterpretable without these; the
-    bench gate ignores the block when comparing (it lives in ``meta``).
+    Perf numbers are uninterpretable without the host they came from;
+    ``perfbench/run.py`` prints this block beside every result.
     """
     import platform
 

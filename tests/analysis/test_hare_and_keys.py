@@ -3,13 +3,15 @@
 import pytest
 
 from repro.analysis.factory_images import generate_fleet
-from repro.analysis.hare_analysis import find_hare_apps, search_images
+from repro.analysis.hare_analysis import find_hare_apps
+from repro.analysis.pipeline import hare_counts
 from repro.analysis.platform_keys import (
     PLATFORM_SIGNED_IN_STORES,
     TEAMVIEWER_PACKAGE,
     analyze,
     generate_appstore_catalogs,
 )
+from repro.measurement.tables import study_stats
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +33,13 @@ def test_sample_images_yield_178_hare_apps(fleet):
     assert len({hare.permission for hare in hare_apps}) == 178
 
 
-def test_search_finds_27763_vulnerable_cases(fleet):
-    study = search_images(fleet)
-    assert study.total_cases == 27763
-    assert study.average_per_image == pytest.approx(23.5, abs=0.1)
-    assert len(study.cases_by_image) == 1181
+def test_search_finds_27763_vulnerable_cases():
+    hare = hare_counts(study_stats("images"))
+    assert hare["cases"] == 27763
+    assert hare["cases"] / hare["searched_images"] == pytest.approx(
+        23.5, abs=0.1)
+    assert hare["searched_images"] == 1181
+    assert hare["apps"] == 178
 
 
 def test_every_search_image_is_samsung(fleet):

@@ -11,12 +11,11 @@ import json
 import pytest
 
 from repro.analysis import classifier as classifier_mod
-from repro.analysis.factory_images import generate_fleet
-from repro.analysis.hare_analysis import search_images
 from repro.analysis.pipeline import (
     AnalysisCache,
     AnalysisSpec,
     AnalysisStats,
+    hare_counts,
     merge_analysis_stats,
     run_analysis,
 )
@@ -27,6 +26,7 @@ from repro.measurement.tables import (
     compute_table4,
     compute_table5,
     compute_table6,
+    study_stats,
 )
 
 
@@ -167,11 +167,10 @@ def test_images_pipeline_matches_table6(images_report):
 
 
 def test_images_pipeline_matches_hare_study(images_report):
-    study = search_images(generate_fleet(2016))
-    assert images_report.stats.count("hare/cases") == study.total_cases == 27763
-    assert (images_report.stats.cardinality("hare/apps")
-            == len(study.hare_apps) == 178)
-    assert images_report.stats.count("hare/searched_images") == 1181
+    sharded = hare_counts(images_report.stats)
+    assert sharded == hare_counts(study_stats("images"))
+    assert sharded == {"apps": 178, "cases": 27763,
+                       "searched_images": 1181, "sample_images": 10}
 
 
 def test_images_sharding_is_split_invariant(images_report):

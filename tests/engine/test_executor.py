@@ -170,18 +170,18 @@ def test_wait_for_result_wakes_immediately_on_a_queued_message():
     import multiprocessing
     import time
 
-    context = multiprocessing.get_context()
-    result_queue = context.Queue()
-    result_queue.put((0, "ok", "payload"))
+    reader, writer = multiprocessing.get_context().Pipe(duplex=False)
+    writer.send((0, "ok", "payload"))
     started = time.perf_counter()
-    assert executor_module.wait_for_result(result_queue, (), timeout=5.0)
+    assert executor_module.wait_for_result([reader], (), timeout=5.0) == [
+        reader]
     elapsed = time.perf_counter() - started
     # The old scheduler polled at a fixed 50ms interval; a ready result
     # must wake the blocking wait in well under one poll tick.
     assert elapsed < 0.05
-    assert result_queue.get(timeout=1.0) == (0, "ok", "payload")
-    result_queue.close()
-    result_queue.join_thread()
+    assert reader.recv() == (0, "ok", "payload")
+    reader.close()
+    writer.close()
 
 
 @needs_multiprocessing
@@ -190,18 +190,17 @@ def test_wait_for_result_wakes_on_worker_death_without_a_message():
     import time
 
     context = multiprocessing.get_context()
-    result_queue = context.Queue()
+    reader, writer = context.Pipe(duplex=False)
     process = context.Process(target=_exit_immediately)
     process.start()
     started = time.perf_counter()
-    woke_for_result = executor_module.wait_for_result(
-        result_queue, [process], timeout=5.0)
+    ready = executor_module.wait_for_result([reader], [process], timeout=5.0)
     elapsed = time.perf_counter() - started
     process.join()
-    result_queue.close()
-    result_queue.join_thread()
+    reader.close()
+    writer.close()
     # The death sentinel, not the timeout, ended the wait.
-    assert woke_for_result is False
+    assert ready == []
     assert elapsed < 5.0
 
 
@@ -210,23 +209,12 @@ def test_wait_for_result_times_out_when_nothing_happens():
     import multiprocessing
     import time
 
-    context = multiprocessing.get_context()
-    result_queue = context.Queue()
+    reader, writer = multiprocessing.get_context().Pipe(duplex=False)
     started = time.perf_counter()
-    assert executor_module.wait_for_result(
-        result_queue, (), timeout=0.05) is False
+    assert executor_module.wait_for_result([reader], (), timeout=0.05) == []
     assert time.perf_counter() - started >= 0.04
-    result_queue.close()
-    result_queue.join_thread()
-
-
-def test_wait_for_result_degrades_when_the_queue_has_no_pipe():
-    class OpaqueQueue:
-        pass
-
-    # No ``_reader`` to sleep on: report readable so the caller falls
-    # back to its own timed ``get``.
-    assert executor_module.wait_for_result(OpaqueQueue(), (), timeout=0.0)
+    reader.close()
+    writer.close()
 
 
 # -- record-time outcome compaction -------------------------------------------

@@ -1,6 +1,7 @@
 """Worker pool: reuse, determinism, crash recovery, leak-free shutdown."""
 
 import os
+import signal
 import time
 
 import pytest
@@ -9,7 +10,6 @@ from repro.engine import executor as executor_module
 from repro.engine.executor import (
     FleetExecutor,
     WarmPool,
-    drain_queue,
     multiprocessing_usable,
 )
 from repro.engine.progress import FleetProgress
@@ -32,33 +32,6 @@ def _alive_children(pids):
     return alive
 
 
-# -- drain helper (shared by the pool and the serve scheduler) ---------------
-
-@needs_multiprocessing
-def test_drain_queue_sweeps_a_burst_in_one_pass():
-    import multiprocessing
-
-    result_queue = multiprocessing.get_context().Queue()
-    for index in range(5):
-        result_queue.put(index)
-    time.sleep(0.1)  # let the feeder thread flush
-    seen = []
-    assert drain_queue(result_queue, seen.append, timeout=1.0) == 5
-    assert seen == [0, 1, 2, 3, 4]
-    result_queue.close()
-    result_queue.join_thread()
-
-
-@needs_multiprocessing
-def test_drain_queue_returns_zero_on_an_empty_queue():
-    import multiprocessing
-
-    result_queue = multiprocessing.get_context().Queue()
-    assert drain_queue(result_queue, lambda m: None, timeout=0.01) == 0
-    result_queue.close()
-    result_queue.join_thread()
-
-
 # -- warm pool scheduling -----------------------------------------------------
 
 def _drive(pool, spec, shards=4):
@@ -76,6 +49,35 @@ def _drive(pool, spec, shards=4):
             submitted.pop(ticket)
             results[ticket] = payload
     return results
+
+
+def _readers(pool):
+    return [worker.reader for worker in pool._workers.values()]
+
+
+@needs_multiprocessing
+def test_poll_collects_a_burst_from_every_worker_in_one_pass():
+    shards = CampaignSpec(installs=24, seed=7).shard(3)
+    with WarmPool(3) as pool:
+        for shard in shards:
+            pool.submit(shard.index, shard)
+        deadline = time.monotonic() + 10.0
+        while (len(executor_module.wait_for_result(_readers(pool), (), 1.0))
+               < 3 and time.monotonic() < deadline):
+            time.sleep(0.01)
+        events = pool.poll(timeout=1.0)
+        assert sorted((t, s) for t, s, _ in events) == [
+            (0, "ok"), (1, "ok"), (2, "ok")]
+        assert not pool.busy()
+
+
+@needs_multiprocessing
+def test_poll_returns_nothing_when_no_worker_reports():
+    with WarmPool(1) as pool:
+        started = time.monotonic()
+        assert pool.poll(timeout=0.05) == []
+        assert time.monotonic() - started >= 0.04
+        assert pool.has_idle() and pool.restarts == 0
 
 
 @needs_multiprocessing
@@ -157,15 +159,14 @@ def test_warm_pool_reaps_a_hung_worker_on_timeout():
 
 @needs_multiprocessing
 def test_warm_pool_drops_a_result_left_by_a_reaped_worker():
-    # A worker reaped just after it reported leaves its result in the
-    # queue.  The retry of the same ticket must not be credited with
+    # A worker reaped just after it reported leaves its result in its
+    # pipe.  The retry of the same ticket must not be credited with
     # it, and the slot the retry runs on must stay busy until the
     # retry itself reports.
     first, second = CampaignSpec(installs=8, seed=7).shard(2)
     with WarmPool(2) as pool:
         pool.submit(0, first)
-        assert executor_module.wait_for_result(pool.result_queue, (), 10.0)
-        time.sleep(0.2)  # let the worker's feeder thread release the queue
+        assert executor_module.wait_for_result(_readers(pool), (), 10.0)
         assert [s for _, s, _ in pool.reap_timeouts(0.0)] == ["timeout"]
         pool.submit(1, second)                  # the respawned slot
         pool.submit(0, first, telemetry=True)   # the retry, other slot
@@ -179,9 +180,62 @@ def test_warm_pool_drops_a_result_left_by_a_reaped_worker():
         assert sorted(pool._idle) == [0, 1]
         assert pool.tasks_done == 2
         # A message that answers no submit at all is dropped too.
-        pool.result_queue.put((10_000, "ok", None))
+        import multiprocessing
+
+        reader, writer = multiprocessing.get_context().Pipe(duplex=False)
+        pool._workers[0].reader.close()
+        pool._workers[0].reader = reader
+        writer.send((10_000, "ok", None))
         assert pool.poll(timeout=1.0) == []
         assert sorted(pool._idle) == [0, 1]
+        writer.close()
+
+
+@needs_multiprocessing
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_a_worker_killed_mid_send_does_not_silence_the_others():
+    # Each shard's result is larger than a pipe buffer, so a worker
+    # blocks part-way through sending it until the parent reads.  Kill
+    # one there: only its own result may be lost (and retried), the
+    # other workers must still report, and the run must match serial.
+    # A shared result channel fails this: the killed writer leaves a
+    # torn message and, for a multiprocessing.Queue, its write lock held.
+    spec = CampaignSpec(installs=2400, seed=7, observe=True)
+    shards = spec.shard(4)
+    serial = FleetExecutor(backend="serial").run(spec, shards=4)
+
+    def expire(signum, frame):
+        raise TimeoutError("pool stopped delivering results")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        with WarmPool(2) as pool:
+            pool.submit(0, shards[0])
+            ready = executor_module.wait_for_result(_readers(pool), (), 30.0)
+            assert len(ready) == 1  # shard 0's worker has begun to send
+            time.sleep(0.3)  # ... and is blocked on the full pipe
+            pool.submit(1, shards[1])
+            events = pool.reap_timeouts(0.2)
+            assert [(t, s) for t, s, _ in events] == [(0, "timeout")]
+            pending = [shards[0], shards[2], shards[3]]
+            results = {}
+            while pending or pool.busy():
+                while pending and pool.has_idle():
+                    shard = pending.pop(0)
+                    pool.submit(shard.index, shard)
+                for ticket, status, payload in pool.poll(timeout=5.0):
+                    assert status == "ok", (ticket, status, payload)
+                    results[ticket] = payload
+            assert pool.restarts == 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert sorted(results) == [0, 1, 2, 3]
+    merged = results[0].stats
+    for index in (1, 2, 3):
+        merged = merged.merge(results[index].stats)
+    assert merged.counter_tuple() == serial.stats.counter_tuple()
 
 
 def test_warm_pool_validates_worker_count():
