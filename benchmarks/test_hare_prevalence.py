@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.analysis.pipeline import hare_counts
+from repro.analysis.pipeline import hare_counts, study_stats
 from repro.measurement.report import render_table
-from repro.measurement.tables import study_stats
 
 PAPER = {"hare_apps": 178, "total_cases": 27763, "avg_per_image": 23.5}
 

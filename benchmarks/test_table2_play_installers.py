@@ -5,8 +5,8 @@ Runs the measurement pipeline (classifier + redirect scan) over the
 paper's numbers.
 """
 
+from repro.analysis.pipeline import study_stats, table2_counts
 from repro.measurement.report import render_installer_breakdown
-from repro.measurement.tables import compute_table2, study_stats
 
 PAPER = {
     "vulnerable": 779,
@@ -21,11 +21,11 @@ PAPER = {
 
 
 def test_table2_play_installers(benchmark, report_sink):
-    table = benchmark.pedantic(
-        lambda: compute_table2(study_stats("play")), rounds=1, iterations=1
+    counts = benchmark.pedantic(
+        lambda: table2_counts(study_stats("play")), rounds=1, iterations=1
     )
     text = render_installer_breakdown(
-        "Table II: potentially vulnerable GooglePlay apps (measured)", table
+        "Table II: potentially vulnerable GooglePlay apps (measured)", counts
     )
     text += (
         f"\npaper: 779/931 (83.7%) SD-Card, 152/931 (16.3%) internal; "
@@ -33,11 +33,11 @@ def test_table2_play_installers(benchmark, report_sink):
     )
     report_sink("table2_play_installers", text)
 
-    assert table.vulnerable == PAPER["vulnerable"]
-    assert table.secure == PAPER["secure"]
-    assert table.installers == PAPER["installers"]
-    assert abs(table.vulnerable_share_excluding_unknown
+    vulnerable, installers = counts["vulnerable"], counts["installers"]
+    assert vulnerable == PAPER["vulnerable"]
+    assert counts["secure"] == PAPER["secure"]
+    assert installers == PAPER["installers"]
+    assert abs(vulnerable / (vulnerable + counts["secure"])
                - PAPER["vulnerable_share_excl"]) < 0.001
-    assert abs(table.vulnerable_share_including_unknown
-               - PAPER["vulnerable_share_incl"]) < 0.001
-    assert table.write_external == PAPER["write_external"]
+    assert abs(vulnerable / installers - PAPER["vulnerable_share_incl"]) < 0.001
+    assert counts["write_external"] == PAPER["write_external"]

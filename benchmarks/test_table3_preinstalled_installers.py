@@ -1,7 +1,7 @@
 """Table III: potentially vulnerable pre-installed apps."""
 
+from repro.analysis.pipeline import study_stats, table3_counts
 from repro.measurement.report import render_installer_breakdown
-from repro.measurement.tables import compute_table3, study_stats
 
 PAPER = {
     "vulnerable": 102,
@@ -14,26 +14,28 @@ PAPER = {
 
 
 def test_table3_preinstalled_installers(benchmark, report_sink):
-    table = benchmark.pedantic(
-        lambda: compute_table3(study_stats("preinstalled")), rounds=1,
+    counts = benchmark.pedantic(
+        lambda: table3_counts(study_stats("preinstalled")), rounds=1,
         iterations=1
     )
     text = render_installer_breakdown(
         "Table III: potentially vulnerable pre-installed apps (measured)",
-        table,
+        counts,
     )
     text += (
-        f"\ninstances={table.total_instances}, "
-        f"WRITE_EXTERNAL instances={table.write_external_instances}"
+        f"\ninstances={counts['instances']}, "
+        f"WRITE_EXTERNAL instances={counts['write_external_instances']}"
         f"\npaper: 102/105 (97.1%) SD-Card, 3/105 (2.86%) internal; "
         f"including unknown 42.9% / 1.26%; WRITE_EXTERNAL 5864/12050"
     )
     report_sink("table3_preinstalled_installers", text)
 
-    assert table.vulnerable == PAPER["vulnerable"]
-    assert table.secure == PAPER["secure"]
-    assert table.installers == PAPER["installers"]
-    assert abs(table.vulnerable_share_excluding_unknown
+    vulnerable = counts["vulnerable"]
+    assert vulnerable == PAPER["vulnerable"]
+    assert counts["secure"] == PAPER["secure"]
+    assert counts["installers"] == PAPER["installers"]
+    assert abs(vulnerable / (vulnerable + counts["secure"])
                - PAPER["vulnerable_share_excl"]) < 0.001
-    assert table.write_external_instances == PAPER["write_external_instances"]
-    assert table.total_instances == PAPER["total_instances"]
+    assert (counts["write_external_instances"]
+            == PAPER["write_external_instances"])
+    assert counts["instances"] == PAPER["total_instances"]

@@ -12,15 +12,15 @@ from repro.analysis.factory_images import (
     SPRINTZONE_PKG,
     XIAOMI_STORE_PKG,
 )
+from repro.analysis.pipeline import study_stats, table5_counts
 from repro.measurement.report import render_table5
-from repro.measurement.tables import compute_table5, study_stats
 
 
 def test_table5_impact(benchmark, report_sink):
-    table = benchmark.pedantic(
-        lambda: compute_table5(study_stats("images")), rounds=1, iterations=1
+    rows = benchmark.pedantic(
+        lambda: table5_counts(study_stats("images")), rounds=1, iterations=1
     )
-    text = render_table5(table)
+    text = render_table5(rows)
     text += (
         "\npaper: Amazon on Verizon/US-Cellular Samsung devices; DTIgnite "
         "on 20+ carriers; Xiaomi/Huawei stores on all their devices; "
@@ -28,18 +28,15 @@ def test_table5_impact(benchmark, report_sink):
     )
     report_sink("table5_impact", text)
 
-    amazon = table.row_for(AMAZON_PKG)
-    assert set(amazon.carriers) == {"verizon", "uscellular"}
-    assert amazon.vendors == ("samsung",)
+    amazon = rows[AMAZON_PKG]
+    assert set(amazon["carriers"]) == {"verizon", "uscellular"}
+    assert amazon["vendors"] == ("samsung",)
 
-    dtignite = table.row_for(DTIGNITE_PKG)
-    assert dtignite.image_count >= 500        # 'hundreds of millions of users'
-    assert len(dtignite.carriers) >= 8
+    dtignite = rows[DTIGNITE_PKG]
+    assert dtignite["images"] >= 500          # 'hundreds of millions of users'
+    assert len(dtignite["carriers"]) >= 8
 
-    xiaomi = table.row_for(XIAOMI_STORE_PKG)
-    assert xiaomi.image_count == 382          # all Xiaomi devices
-    huawei = table.row_for(HUAWEI_STORE_PKG)
-    assert huawei.image_count == 234          # all Huawei devices
+    assert rows[XIAOMI_STORE_PKG]["images"] == 382   # all Xiaomi devices
+    assert rows[HUAWEI_STORE_PKG]["images"] == 234   # all Huawei devices
 
-    sprint = table.row_for(SPRINTZONE_PKG)
-    assert sprint.carriers == ("sprint",)
+    assert rows[SPRINTZONE_PKG]["carriers"] == ("sprint",)

@@ -2,53 +2,22 @@
 """The full Section IV measurement study over the synthetic corpora.
 
 Runs the measurement pipeline once per corpus (Play, pre-installed,
-factory images) and reads Tables II-VI and the Hare search from its
-merged stats, then runs the platform-key analysis over the
-factory-image fleet for the other prose finding.
+factory images) and prints Tables II-VI exactly as ``repro tables``
+does, then the hare search read from the images stats and the
+platform-key analysis over the factory-image fleet.
 
 Run:  python examples/measurement_study.py
 """
 
 from repro.analysis.factory_images import generate_fleet
-from repro.analysis.pipeline import hare_counts
+from repro.analysis.pipeline import hare_counts, study_stats
 from repro.analysis.platform_keys import analyze, generate_appstore_catalogs
-from repro.measurement.report import (
-    render_installer_breakdown,
-    render_table4,
-    render_table5,
-    render_table6,
-)
-from repro.measurement.tables import (
-    compute_table2,
-    compute_table3,
-    compute_table4,
-    compute_table5,
-    compute_table6,
-    study_stats,
-)
+from repro.measurement.report import render_tables
 
 
 def main():
     print("analyzing corpora and fleet (seeded, deterministic)...\n")
-
-    play = study_stats("play")
-    print(render_installer_breakdown(
-        "Table II: potentially vulnerable GooglePlay apps (SD-Card usage)",
-        compute_table2(play),
-    ))
-    print()
-    print(render_installer_breakdown(
-        "Table III: potentially vulnerable pre-installed apps",
-        compute_table3(study_stats("preinstalled")),
-    ))
-    print()
-    print(render_table4(compute_table4(play)))
-    print()
-
-    images = study_stats("images")
-    print(render_table5(compute_table5(images)))
-    print()
-    print(render_table6(compute_table6(images)))
+    print(render_tables())
     print()
 
     fleet = generate_fleet()
@@ -69,7 +38,7 @@ def main():
           f"{vulnerable[0].package if vulnerable else 'none'}")
     print()
 
-    hare = hare_counts(images)
+    hare = hare_counts(study_stats("images"))
     average = hare["cases"] / hare["searched_images"]
     print("Hare permissions (Section IV-B):")
     print(f"  hare-using apps on 10 sample images : {hare['apps']}")

@@ -158,38 +158,11 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    from repro.measurement.report import (
-        render_installer_breakdown,
-        render_table4,
-        render_table5,
-        render_table6,
-    )
-    from repro.measurement.tables import (
-        compute_table2,
-        compute_table3,
-        compute_table4,
-        compute_table5,
-        compute_table6,
-        study_stats,
-    )
+    from repro.measurement.report import render_tables
 
     # The corpora ship with their own calibrated default seed; --seed
     # overrides it for sensitivity runs.
-    seed = 2016 if args.seed is None else args.seed
-    play = study_stats("play", seed)
-    print(render_installer_breakdown("Table II (Google Play apps)",
-                                     compute_table2(play)))
-    print()
-    print(render_installer_breakdown("Table III (pre-installed apps)",
-                                     compute_table3(study_stats(
-                                         "preinstalled", seed))))
-    print()
-    print(render_table4(compute_table4(play)))
-    print()
-    images = study_stats("images", seed)
-    print(render_table5(compute_table5(images)))
-    print()
-    print(render_table6(compute_table6(images)))
+    print(render_tables(2016 if args.seed is None else args.seed))
     # The tables are computed from static corpora, not simulator runs,
     # so there is nothing to trace; honour the flags with valid empty
     # output rather than surprising the caller.

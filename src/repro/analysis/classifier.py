@@ -96,10 +96,6 @@ class CorpusClassification:
         """Apps containing installation API calls."""
         return sum(1 for result in self.results if result.has_install_api)
 
-    def by_category(self) -> Dict[Category, int]:
-        """Category -> count map."""
-        return {category: self.count(category) for category in Category}
-
 
 class InstallerClassifier:
     """The static-analysis tool."""

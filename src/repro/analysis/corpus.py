@@ -73,15 +73,6 @@ class GroundTruth(enum.Enum):
         """True for apps carrying the installation API."""
         return self is not GroundTruth.NON_INSTALLER
 
-    @property
-    def is_unknown(self) -> bool:
-        """True for the three unresolvable flavors."""
-        return self in (
-            GroundTruth.UNKNOWN_REFLECTION,
-            GroundTruth.UNKNOWN_FIELD_MODE,
-            GroundTruth.UNKNOWN_MIXED,
-        )
-
 
 @dataclass
 class CorpusApp:

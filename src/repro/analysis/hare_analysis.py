@@ -14,7 +14,7 @@ The paper's measurement has two steps:
 
 Step 2 runs per image inside the ``images`` corpus of
 :mod:`repro.analysis.pipeline`; read its totals with
-:func:`~repro.analysis.pipeline.hare_counts`.
+``hare_counts(study_stats("images"))`` (both in that module).
 """
 
 from __future__ import annotations

@@ -719,24 +719,24 @@ class AnalysisReport:
 
     def _render_corpus(self) -> List[str]:
         stats = self.stats
-        total = stats.count("apps")
+        counts = table3_counts(stats)
+        total = counts["total"]
         lines = [
             f"  apps analyzed           : {total}",
-            f"  installers              : {stats.count('installers')}",
-            "    potentially vulnerable: "
-            f"{stats.count('category/potentially-vulnerable')}",
-            "    potentially secure    : "
-            f"{stats.count('category/potentially-secure')}",
-            f"    unknown               : {stats.count('category/unknown')}",
-            "  not an installer        : "
-            f"{stats.count('category/not-an-installer')}",
-            f"  WRITE_EXTERNAL apps     : {stats.count('write_external')}",
+            f"  installers              : {counts['installers']}",
+            f"    potentially vulnerable: {counts['vulnerable']}",
+            f"    potentially secure    : {counts['secure']}",
+            f"    unknown               : {counts['unknown']}",
+            # The classifier files exactly the apps without the
+            # installation API as not-an-installer.
+            f"  not an installer        : {total - counts['installers']}",
+            f"  WRITE_EXTERNAL apps     : {counts['write_external']}",
         ]
         if self.spec.corpus == "preinstalled":
             lines += [
-                f"  app instances           : {stats.count('instances')}",
+                f"  app instances           : {counts['instances']}",
                 "  WRITE_EXTERNAL instances: "
-                f"{stats.count('write_external_instances')}",
+                f"{counts['write_external_instances']}",
             ]
         else:
             table4 = table4_counts(stats)
@@ -769,27 +769,21 @@ class AnalysisReport:
             lines.append(
                 f"  hare cases per image    : "
                 f"{hare['cases'] / hare['searched_images']:.1f}")
-        for vendor_spec in ALL_SPECS:
-            vendor = vendor_spec.vendor
-            images = stats.count(f"vendor/{vendor}/images")
-            if not images:
+        for vendor, row in table6_counts(stats)["vendors"].items():
+            if not row["images"]:
                 continue
             lines.append(
-                f"  {vendor:<8}: {images} image(s), "
-                f"{stats.count(f'vendor/{vendor}/apps') / images:.1f} "
-                "apps/image, "
-                f"{stats.count(f'vendor/{vendor}/install_packages') / images:.1f}"
-                " INSTALL_PACKAGES/image, "
+                f"  {vendor:<8}: {row['images']} image(s), "
+                f"{row['avg_apps']:.1f} apps/image, "
+                f"{row['avg_install_packages']:.1f} INSTALL_PACKAGES/image, "
                 f"{stats.cardinality(f'platform/{vendor}')} distinct "
                 "platform-signed package(s)")
         lines.append("  Table V (vulnerable pre-installed installers):")
-        for package in _TABLE5_PACKAGES:
+        for package, row in table5_counts(stats).items():
             lines.append(
-                f"    {package:<28}: "
-                f"{stats.count(f'table5/{package}/images')} image(s), "
-                f"{stats.cardinality(f'table5/{package}/carriers')} "
-                "carrier(s), "
-                f"{stats.cardinality(f'table5/{package}/models')} model(s)")
+                f"    {package:<28}: {row['images']} image(s), "
+                f"{len(row['carriers'])} carrier(s), "
+                f"{row['models']} model(s)")
         return lines
 
 
@@ -797,7 +791,7 @@ AnalysisSpec.report_class = AnalysisReport
 
 
 # ---------------------------------------------------------------------------
-# table extraction (the measurement layer reads these)
+# table extraction (every rendered table reads these)
 # ---------------------------------------------------------------------------
 
 
@@ -863,36 +857,46 @@ def table5_counts(stats: AnalysisStats) -> Dict[str, Dict[str, Any]]:
 
 
 def table6_counts(stats: AnalysisStats) -> Dict[str, Any]:
-    """Table VI shape: INSTALL_PACKAGES totals per vendor and per year.
+    """Table VI shape: INSTALL_PACKAGES prevalence per vendor and over time.
 
-    ``vendors`` maps each vendor to its image, system-app and
-    INSTALL_PACKAGES-app totals; ``years`` maps each firmware-year
-    quartile (0..3, 2012..2015) to its image and INSTALL_PACKAGES-app
-    totals; ``flagship`` lists the distinct INSTALL_PACKAGES counts of
-    flagship images, ascending.
+    ``vendors`` maps each vendor to its ``images`` count, its per-image
+    averages of system apps (``avg_apps``) and of INSTALL_PACKAGES
+    holders (``avg_install_packages``), and the ``ratio`` of the two.
+    ``doubled`` is the paper's "doubled in three years" finding: the
+    newest firmware-year quartile (2015) averages at least 1.9x the
+    oldest's (2012) INSTALL_PACKAGES apps per image.
+    ``flagship_range`` is the lowest and highest INSTALL_PACKAGES count
+    on a flagship image, ``(0, 0)`` when there is none.
     """
+    vendors = {}
+    for spec in ALL_SPECS:
+        images = stats.count(f"vendor/{spec.vendor}/images")
+        avg_apps = _per_image(stats, f"vendor/{spec.vendor}/apps", images)
+        avg_install_packages = _per_image(
+            stats, f"vendor/{spec.vendor}/install_packages", images)
+        vendors[spec.vendor] = {
+            "images": images,
+            "avg_apps": avg_apps,
+            "avg_install_packages": avg_install_packages,
+            "ratio": avg_install_packages / avg_apps if avg_apps else 0.0,
+        }
+    oldest, newest = (
+        _per_image(stats, f"year/{year}/install_packages",
+                   stats.count(f"year/{year}/images"))
+        for year in (0, 3))
+    flagship = sorted(
+        int(count)
+        for count in stats.sets.get("flagship/install_packages", ()))
     return {
-        "vendors": {
-            spec.vendor: {
-                "images": stats.count(f"vendor/{spec.vendor}/images"),
-                "apps": stats.count(f"vendor/{spec.vendor}/apps"),
-                "install_packages": stats.count(
-                    f"vendor/{spec.vendor}/install_packages"),
-            }
-            for spec in ALL_SPECS
-        },
-        "years": {
-            year: {
-                "images": stats.count(f"year/{year}/images"),
-                "install_packages": stats.count(
-                    f"year/{year}/install_packages"),
-            }
-            for year in range(4)
-        },
-        "flagship": sorted(
-            int(count)
-            for count in stats.sets.get("flagship/install_packages", ())),
+        "vendors": vendors,
+        "doubled": newest >= 1.9 * oldest,
+        "flagship_range": ((flagship[0], flagship[-1]) if flagship
+                           else (0, 0)),
     }
+
+
+def _per_image(stats: AnalysisStats, name: str, images: int) -> float:
+    return stats.count(name) / images if images else 0.0
 
 
 def hare_counts(stats: AnalysisStats) -> Dict[str, int]:
@@ -938,3 +942,14 @@ def run_analysis(spec: AnalysisSpec, shards: Optional[int] = None,
         return executor.run(spec, shards=shards)
     finally:
         executor.close()
+
+
+def study_stats(corpus: str, seed: int = 2016) -> AnalysisStats:
+    """Merged stats of one serial paper-scale pass over ``corpus``.
+
+    Tables II and IV read the ``play`` stats, Table III the
+    ``preinstalled`` stats, Tables V and VI and the hare search the
+    ``images`` stats.
+    """
+    spec = AnalysisSpec(corpus=corpus, seed=seed)
+    return run_analysis(spec, shards=1, backend="serial").stats

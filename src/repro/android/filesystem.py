@@ -129,10 +129,6 @@ class Inode:
         """True if the 'other read' mode bit is set."""
         return bool(self.mode & 0o004)
 
-    def owner_writable(self) -> bool:
-        """True if the 'owner write' mode bit is set."""
-        return bool(self.mode & 0o200)
-
     def __repr__(self) -> str:
         return (
             f"Inode(id={self.inode_id}, kind={self.kind.value}, "

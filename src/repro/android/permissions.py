@@ -127,10 +127,6 @@ class PermissionRegistry:
         """Among ``used_permissions``, those nobody defines (Hare candidates)."""
         return [name for name in used_permissions if name not in self._definitions]
 
-    def all_names(self) -> List[str]:
-        """Sorted list of every defined permission name."""
-        return sorted(self._definitions)
-
 
 class PermissionState:
     """Granted permissions of one installed package (runtime model).

@@ -115,21 +115,6 @@ class MaliciousApp(App):
                 metrics.histogram("attack/window_ns").observe(
                     now_ns - self._armed_ns)
 
-    @property
-    def strikes_landed(self) -> int:
-        """Strike attempts whose replacement actually landed."""
-        return len(getattr(self, "swaps", ()))
-
-    @property
-    def strikes_blocked(self) -> int:
-        """Strike attempts vetoed by a defense (or failed outright)."""
-        return len(getattr(self, "blocked", ()))
-
-    @property
-    def strike_attempts(self) -> int:
-        """All strike attempts, landed and blocked alike."""
-        return self.strikes_landed + self.strikes_blocked
-
     @staticmethod
     def build_apk(package: str = ATTACKER_PACKAGE) -> Apk:
         """The attacker app's own APK: innocuous-looking, STORAGE perms."""

@@ -35,9 +35,3 @@ class DTIgniteInstaller(BaseInstaller):
     """The carrier push installer."""
 
     profile = DTIGNITE_PROFILE
-
-    def push_app(self, package: str):
-        """Carrier-initiated silent push of ``package`` (no user at all)."""
-        return self.system.kernel.spawn(
-            self.run_ait(package), name=f"dtignite-push-{package}"
-        )

@@ -1,21 +1,1 @@
-"""Table computation and rendering for the Section IV measurement study."""
-
-from repro.measurement.tables import (
-    Table2,
-    Table3,
-    Table4,
-    Table5,
-    Table6,
-    compute_table2,
-    compute_table3,
-    compute_table4,
-    compute_table5,
-    compute_table6,
-)
-from repro.measurement.report import render_table
-
-__all__ = [
-    "Table2", "Table3", "Table4", "Table5", "Table6",
-    "compute_table2", "compute_table3", "compute_table4",
-    "compute_table5", "compute_table6", "render_table",
-]
+"""Rendering of the Section IV measurement tables."""

@@ -459,14 +459,6 @@ class CampaignService:
         with self._lock:
             return self.flight.snapshot()
 
-    def job_telemetry(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """One job's wall-clock rollup (live or final), if any."""
-        with self._lock:
-            fold = self._job_rollups.get(job_id)
-            if fold is not None and fold.shards:
-                return fold.to_dict()
-            return self.queue.get(job_id).telemetry
-
     def close(self) -> None:
         """Shut the warm pool down deterministically (idempotent)."""
         self.executor.close()

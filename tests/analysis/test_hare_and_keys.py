@@ -4,14 +4,13 @@ import pytest
 
 from repro.analysis.factory_images import generate_fleet
 from repro.analysis.hare_analysis import find_hare_apps
-from repro.analysis.pipeline import hare_counts
+from repro.analysis.pipeline import hare_counts, study_stats
 from repro.analysis.platform_keys import (
     PLATFORM_SIGNED_IN_STORES,
     TEAMVIEWER_PACKAGE,
     analyze,
     generate_appstore_catalogs,
 )
-from repro.measurement.tables import study_stats
 
 
 @pytest.fixture(scope="module")

@@ -18,16 +18,14 @@ from repro.analysis.pipeline import (
     hare_counts,
     merge_analysis_stats,
     run_analysis,
+    study_stats,
+    table2_counts,
+    table3_counts,
+    table4_counts,
+    table5_counts,
+    table6_counts,
 )
 from repro.errors import ReproError
-from repro.measurement.tables import (
-    compute_table2,
-    compute_table3,
-    compute_table4,
-    compute_table5,
-    compute_table6,
-    study_stats,
-)
 
 
 def run_serial(spec, shards=1):
@@ -62,28 +60,19 @@ def preinstalled_report():
 
 
 def test_play_pipeline_matches_measurement_tables(play_report):
-    table2 = compute_table2(play_report.stats)
-    assert table2.corpus_size == 12750
-    assert table2.installers == 1493
-    assert table2.vulnerable == 779
-    assert table2.secure == 152
-    assert table2.unknown == 562
-    assert table2.write_external == 8721
-    table4 = compute_table4(play_report.stats)
-    assert {limit: count for limit, (count, _share)
-            in table4.buckets.items()} == {1: 723, 2: 1405, 4: 2090, 8: 2337}
-    assert table4.redirecting == 10799
+    assert table2_counts(play_report.stats) == {
+        "total": 12750, "installers": 1493, "vulnerable": 779,
+        "secure": 152, "unknown": 562, "write_external": 8721}
+    table4 = table4_counts(play_report.stats)
+    assert table4["buckets"] == {1: 723, 2: 1405, 4: 2090, 8: 2337}
+    assert table4["redirecting"] == 10799
 
 
 def test_preinstalled_pipeline_matches_measurement_tables(preinstalled_report):
-    table3 = compute_table3(preinstalled_report.stats)
-    assert table3.corpus_size == 1613
-    assert table3.installers == 238
-    assert table3.vulnerable == 102
-    assert table3.secure == 3
-    assert table3.unknown == 133
-    assert table3.total_instances == 12050
-    assert table3.write_external_instances == 5864
+    assert table3_counts(preinstalled_report.stats) == {
+        "total": 1613, "installers": 238, "vulnerable": 102, "secure": 3,
+        "unknown": 133, "write_external": 733, "instances": 12050,
+        "write_external_instances": 5864}
 
 
 @pytest.mark.parametrize("corpus", ["play", "preinstalled"])
@@ -149,21 +138,22 @@ TABLE5_ROWS = {
 
 
 def test_images_pipeline_matches_table5(images_report):
-    rows = compute_table5(images_report.stats).rows
-    assert {row.installer_package: (row.image_count, len(row.carriers),
-                                    len(row.vendors), row.models)
-            for row in rows} == TABLE5_ROWS
-    assert [row.installer_package for row in rows] == list(TABLE5_ROWS)
+    rows = table5_counts(images_report.stats)
+    assert {package: (row["images"], len(row["carriers"]),
+                      len(row["vendors"]), row["models"])
+            for package, row in rows.items()} == TABLE5_ROWS
+    assert list(rows) == list(TABLE5_ROWS)
 
 
 def test_images_pipeline_matches_table6(images_report):
-    table6 = compute_table6(images_report.stats)
-    assert [(row.vendor, round(row.avg_install_packages, 1),
-             round(row.avg_system_apps, 1)) for row in table6.rows] == [
+    table6 = table6_counts(images_report.stats)
+    assert [(vendor, round(row["avg_install_packages"], 1),
+             round(row["avg_apps"], 1))
+            for vendor, row in table6["vendors"].items()] == [
         ("samsung", 17.7, 209.0), ("xiaomi", 14.0, 117.0),
         ("huawei", 15.0, 144.0)]
-    assert table6.doubled_over_period
-    assert table6.flagship_range == (29, 31)
+    assert table6["doubled"]
+    assert table6["flagship_range"] == (29, 31)
 
 
 def test_images_pipeline_matches_hare_study(images_report):

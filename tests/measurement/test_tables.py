@@ -1,4 +1,4 @@
-"""Tests for the measurement-table views and their rendering."""
+"""Tests for the measurement tables: the pipeline's counts and their rendering."""
 
 import pathlib
 
@@ -6,6 +6,15 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.factory_images import AMAZON_PKG, DTIGNITE_PKG
+from repro.analysis.pipeline import (
+    AnalysisStats,
+    study_stats,
+    table2_counts,
+    table3_counts,
+    table4_counts,
+    table5_counts,
+    table6_counts,
+)
 from repro.measurement.report import (
     pct,
     render_installer_breakdown,
@@ -13,14 +22,6 @@ from repro.measurement.report import (
     render_table4,
     render_table5,
     render_table6,
-)
-from repro.measurement.tables import (
-    compute_table2,
-    compute_table3,
-    compute_table4,
-    compute_table5,
-    compute_table6,
-    study_stats,
 )
 
 GOLDEN_TABLES = pathlib.Path(__file__).parent / "tables_golden.txt"
@@ -38,76 +39,86 @@ def images_stats():
 
 @pytest.fixture(scope="module")
 def table2(play_stats):
-    return compute_table2(play_stats)
+    return table2_counts(play_stats)
 
 
 @pytest.fixture(scope="module")
 def table3():
-    return compute_table3(study_stats("preinstalled"))
+    return table3_counts(study_stats("preinstalled"))
 
 
 @pytest.fixture(scope="module")
 def table4(play_stats):
-    return compute_table4(play_stats)
+    return table4_counts(play_stats)
 
 
 @pytest.fixture(scope="module")
 def table5(images_stats):
-    return compute_table5(images_stats)
+    return table5_counts(images_stats)
 
 
 @pytest.fixture(scope="module")
 def table6(images_stats):
-    return compute_table6(images_stats)
+    return table6_counts(images_stats)
 
 
 def test_table2_shares_match_paper(table2):
-    assert table2.vulnerable == 779
-    assert table2.secure == 152
-    assert table2.known == 931
-    assert table2.vulnerable_share_excluding_unknown == pytest.approx(0.837, abs=0.001)
-    assert table2.secure_share_excluding_unknown == pytest.approx(0.163, abs=0.001)
-    assert table2.vulnerable_share_including_unknown == pytest.approx(0.522, abs=0.001)
-    assert table2.secure_share_including_unknown == pytest.approx(0.102, abs=0.001)
-    assert table2.write_external == 8721
+    vulnerable, secure = table2["vulnerable"], table2["secure"]
+    known = vulnerable + secure
+    assert vulnerable == 779
+    assert secure == 152
+    assert known == 931
+    assert vulnerable / known == pytest.approx(0.837, abs=0.001)
+    assert secure / known == pytest.approx(0.163, abs=0.001)
+    assert vulnerable / table2["installers"] == pytest.approx(0.522, abs=0.001)
+    assert secure / table2["installers"] == pytest.approx(0.102, abs=0.001)
+    assert table2["write_external"] == 8721
 
 
 def test_table3_shares_match_paper(table3):
-    assert table3.vulnerable == 102
-    assert table3.secure == 3
-    assert table3.vulnerable_share_excluding_unknown == pytest.approx(0.971, abs=0.001)
-    assert table3.secure_share_excluding_unknown == pytest.approx(0.0286, abs=0.001)
-    assert table3.vulnerable_share_including_unknown == pytest.approx(0.429, abs=0.001)
-    assert table3.write_external_instances == 5864
-    assert table3.total_instances == 12050
+    vulnerable, secure = table3["vulnerable"], table3["secure"]
+    known = vulnerable + secure
+    assert vulnerable == 102
+    assert secure == 3
+    assert vulnerable / known == pytest.approx(0.971, abs=0.001)
+    assert secure / known == pytest.approx(0.0286, abs=0.001)
+    assert vulnerable / table3["installers"] == pytest.approx(0.429, abs=0.001)
+    assert table3["write_external_instances"] == 5864
+    assert table3["instances"] == 12050
 
 
 def test_table4_buckets(table4):
-    assert table4.buckets[1][0] == 723
-    assert table4.buckets[2][0] == 1405
-    assert table4.buckets[4][0] == 2090
-    assert table4.buckets[8][0] == 2337
-    assert table4.redirecting_fraction == pytest.approx(0.847, abs=0.001)
+    assert table4["buckets"][1] == 723
+    assert table4["buckets"][2] == 1405
+    assert table4["buckets"][4] == 2090
+    assert table4["buckets"][8] == 2337
+    assert table4["redirecting"] / table4["total"] == pytest.approx(
+        0.847, abs=0.001)
 
 
 def test_table5_rows(table5):
-    amazon = table5.row_for(AMAZON_PKG)
-    assert amazon is not None
-    assert set(amazon.carriers) == {"verizon", "uscellular"}
-    assert amazon.vendors == ("samsung",)
-    dtignite = table5.row_for(DTIGNITE_PKG)
-    assert dtignite.image_count > 500
-    assert table5.row_for("com.nonexistent") is None
+    amazon = table5[AMAZON_PKG]
+    assert set(amazon["carriers"]) == {"verizon", "uscellular"}
+    assert amazon["vendors"] == ("samsung",)
+    assert table5[DTIGNITE_PKG]["images"] > 500
 
 
 def test_table6_rows(table6):
-    samsung = table6.row_for("samsung")
-    assert samsung.ratio == pytest.approx(0.0845, abs=0.005)
-    assert table6.row_for("xiaomi").ratio == pytest.approx(0.1187, abs=0.005)
-    assert table6.row_for("huawei").ratio == pytest.approx(0.1032, abs=0.005)
-    assert table6.doubled_over_period
-    low, high = table6.flagship_range
+    vendors = table6["vendors"]
+    assert vendors["samsung"]["ratio"] == pytest.approx(0.0845, abs=0.005)
+    assert vendors["xiaomi"]["ratio"] == pytest.approx(0.1187, abs=0.005)
+    assert vendors["huawei"]["ratio"] == pytest.approx(0.1032, abs=0.005)
+    assert table6["doubled"]
+    low, high = table6["flagship_range"]
     assert 25 <= low <= high <= 31
+
+
+def test_table6_without_images_is_empty():
+    table6 = table6_counts(AnalysisStats())
+    assert table6["vendors"]["samsung"] == {
+        "images": 0, "avg_apps": 0.0, "avg_install_packages": 0.0,
+        "ratio": 0.0}
+    assert table6["flagship_range"] == (0, 0)
 
 
 # -- rendering ---------------------------------------------------------------------

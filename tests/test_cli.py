@@ -1,8 +1,12 @@
 """Tests for the ``python -m repro`` CLI."""
 
+import pathlib
+
 import pytest
 
 from repro.__main__ import build_parser, main
+
+ANALYZE_GOLDEN = pathlib.Path(__file__).parent / "analyze_golden"
 
 
 def test_demo_command(capsys):
@@ -209,6 +213,17 @@ def test_fleet_zero_installs_is_fine(capsys):
 
 
 # -- analyze ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("play_2000.txt", ["--corpus", "play", "--apps", "2000"]),
+    ("preinstalled.txt", ["--corpus", "preinstalled"]),
+    ("images_300.txt", ["--corpus", "images", "--apps", "300"]),
+])
+def test_analyze_stdout_is_pinned(golden, argv, capsys):
+    """``repro analyze`` prints exactly the committed golden text."""
+    assert main(["analyze", *argv, "--backend", "serial", "--quiet"]) == 0
+    assert capsys.readouterr().out == (ANALYZE_GOLDEN / golden).read_text()
 
 
 def test_analyze_stdout_identical_across_splits(capsys):
